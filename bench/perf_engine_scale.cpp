@@ -17,8 +17,12 @@
 //                   run of the same sweep (budget: <5% events/sec)
 //   --threaded      run the threaded-scheduler sweep instead: workers in
 //                   {1,2,4,8} x ranks x all four apps under the comm-aware
-//                   partition, with the workers=1 rows (sequential fast
-//                   path) as the baseline. The JSON records host_cores —
+//                   partition, plus SAMPLE's wildcard pattern
+//                   (sample_anysource, up to 4096 ranks: every
+//                   MPI_ANY_SOURCE receive stalls the conservative
+//                   protocol until a barrier, which is the traffic Time
+//                   Warp exists for), with the workers=1 rows (sequential
+//                   fast path) as the baseline. The JSON records host_cores —
 //                   events/sec ratios are only meaningful against it
 //                   (workers > cores measures protocol overhead, not
 //                   speedup).
@@ -216,14 +220,21 @@ int run_threaded_sweep(int max_procs, const std::string& out_path,
   const std::vector<int> sweep = {1024, 4096, 16384};
   const std::vector<int> worker_counts = {1, 2, 4, 8};
 
-  const benchx::ProgramFactory make_sample = [](int nprocs) {
-    (void)nprocs;
-    apps::SampleConfig cfg;
-    cfg.iterations = 40;
-    cfg.msg_doubles = 1024;
-    cfg.work_iters = 100000;
-    return apps::make_sample(cfg);
+  const auto sample_factory = [](apps::SamplePattern pattern) {
+    return benchx::ProgramFactory([pattern](int nprocs) {
+      (void)nprocs;
+      apps::SampleConfig cfg;
+      cfg.pattern = pattern;
+      cfg.iterations = 40;
+      cfg.msg_doubles = 1024;
+      cfg.work_iters = 100000;
+      return apps::make_sample(cfg);
+    });
   };
+  const benchx::ProgramFactory make_sample =
+      sample_factory(apps::SamplePattern::kNearestNeighbor);
+  const benchx::ProgramFactory make_anysource =
+      sample_factory(apps::SamplePattern::kAnySource);
   const benchx::ProgramFactory make_sweep = [](int nprocs) {
     apps::Sweep3DConfig cfg;
     apps::sweep3d_grid_for(nprocs, &cfg.npe_i, &cfg.npe_j);
@@ -253,15 +264,22 @@ int run_threaded_sweep(int max_procs, const std::string& out_path,
   std::vector<ThreadedPoint> points;
   TablePrinter t({"app", "procs", "workers", "schedule", "wall (s)",
                   "events/s", "rounds", "cross msgs", "rollbacks"});
-  for (const auto& [app, make] :
-       std::vector<std::pair<std::string, benchx::ProgramFactory>>{
-           {"sample", make_sample},
-           {"sweep3d", make_sweep},
-           {"tomcatv", make_tomcatv},
-           {"nas_sp", make_sp}}) {
+  struct SweepApp {
+    std::string name;
+    benchx::ProgramFactory make;
+    int max_procs;
+  };
+  // Conservative threaded rounds on the wildcard pattern take tens of
+  // seconds at 4096 ranks, so its sweep stops there.
+  for (const auto& [app, make, app_max_procs] : std::vector<SweepApp>{
+           {"sample", make_sample, 16384},
+           {"sample_anysource", make_anysource, 4096},
+           {"sweep3d", make_sweep, 16384},
+           {"tomcatv", make_tomcatv, 16384},
+           {"nas_sp", make_sp, 16384}}) {
     const auto params = benchx::calibrate_at(make, 16, machine);
     for (int procs : sweep) {
-      if (procs > max_procs) continue;
+      if (procs > max_procs || procs > app_max_procs) continue;
       for (int workers : worker_counts) {
         for (harness::Schedule schedule : schedules) {
           ThreadedPoint p = run_threaded_point(app, make, procs, workers,

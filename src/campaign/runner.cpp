@@ -119,7 +119,6 @@ CampaignResult run_campaign(const Scenario& scenario,
     owned = std::make_unique<Executor>(std::move(eo));
     exec = owned.get();
   }
-  const ResultCache& cache = exec->cache();
 
   CampaignResult result;
   result.name = scenario.name;
@@ -161,9 +160,8 @@ CampaignResult run_campaign(const Scenario& scenario,
     }
   }
 
-  // ---- Phase 2a: resolve every run, digest it, and probe the cache.
+  // ---- Phase 2a: resolve every run and digest it.
   const std::size_t nruns = scenario.runs.size();
-  std::vector<char> needs_exec(nruns, 0);
   for_each_parallel(options.jobs, nruns, [&](std::size_t i) {
     const CampaignRun& run = scenario.runs[i];
     RunReport& report = result.runs[i];
@@ -186,32 +184,18 @@ CampaignResult run_campaign(const Scenario& scenario,
       return;
     }
     report.digest_hex = harness::run_spec_digest_hex(report.resolved);
-
-    if (auto doc = cache.load(report.digest_hex)) {
-      try {
-        harness::RunOutcome cached =
-            harness::outcome_from_json(doc->at("outcome"));
-        if (!options.retry_failed || cached.ok()) {
-          report.outcome = std::move(cached);
-          report.cache_hit = true;
-          notify_done(report);
-          return;
-        }
-      } catch (const std::exception&) {
-        // Malformed entry: treat as a miss.
-      }
-    }
-    needs_exec[i] = 1;
   });
 
-  // ---- Phase 2b: execute unique digests (duplicate sweep points simulate
-  // once), in first-appearance order for a deterministic work list. The
-  // Executor's in-flight map additionally dedups against runs another
-  // campaign or serve client is executing right now.
+  // ---- Phase 2b: unique digests (duplicate sweep points simulate once),
+  // in first-appearance order for a deterministic work list, go through
+  // the Executor: its cache probe serves stored outcomes, and its
+  // in-flight map dedups against runs another campaign or serve client is
+  // executing right now. One probe per digest keeps the Executor's stats
+  // the single account of where every result came from.
   std::map<std::string, std::vector<std::size_t>> by_digest;
   std::vector<std::string> exec_order;
   for (std::size_t i = 0; i < nruns; ++i) {
-    if (!needs_exec[i]) continue;
+    if (result.runs[i].digest_hex.empty()) continue;  // failed to resolve
     auto [it, inserted] = by_digest.emplace(result.runs[i].digest_hex,
                                             std::vector<std::size_t>{});
     if (inserted) exec_order.push_back(result.runs[i].digest_hex);
@@ -234,12 +218,14 @@ CampaignResult run_campaign(const Scenario& scenario,
     }
     for (const std::size_t i : members) {
       result.runs[i].outcome = exec_results[j].outcome;
+      result.runs[i].cache_hit =
+          exec_results[j].source == Executor::Source::kCacheHit;
       notify_done(result.runs[i]);
     }
   });
   // Unique digests this campaign simulated itself; a digest served by a
-  // concurrent execution (kDedupJoined) or stored between probe and
-  // execute (kCacheHit) was not our work.
+  // concurrent execution (kDedupJoined) or by the cache (kCacheHit) was
+  // not our work.
   result.executed = we_executed.load();
   for (const RunReport& r : result.runs) {
     if (r.cache_hit) ++result.cache_hits;

@@ -10,8 +10,8 @@
 //                   [--calibrate N] [--load-params f] [--save-params f]
 //                   [--workers N] [--partition block|interleave|comm]
 //                   [--schedule conservative|optimistic]
-//                   [--gvt-interval N] [--checkpoint-interval N|none]
-//                   [--checkpoint-adaptive on|off] [--speculation-window SEC]
+//                   [--checkpoint-interval N|none]
+//                   [--checkpoint-adaptive on|off]
 //                   [--abstract-comm] [--memory-cap-mb M]
 //                   [--seed S] [--fault SPEC]
 //                   [--max-vtime-sec T] [--max-messages N] [--max-host-sec T]
@@ -27,8 +27,7 @@
 //                   [--max-schedules N] [--max-depth N] [--max-host-sec T]
 //                   [--workers N] [--trials N] [--drain-seed S]
 //                   [--schedule conservative|optimistic] [--no-dpor]
-//                   [--gvt-interval N] [--checkpoint-interval N|none]
-//                   [--keep-going]
+//                   [--checkpoint-interval N|none] [--keep-going]
 //                   [--inject unsafe-wildcard|commit-before-gvt]
 //                   [--counterexample-out f.json]
 //   stgsim check    --replay f.json [--trace-out f] [--metrics-out f]
@@ -105,12 +104,11 @@
 // conservative schedulers; `check --schedule optimistic` explores the
 // rollback/commit protocol against the conservative sequential digest, and
 // --inject commit-before-gvt plants a commit-finalized-before-GVT race on
-// the optimistic path for the gate to rediscover. Four knobs tune the
-// optimistic engine without changing any simulated result (digests are
-// bit-identical across every setting):
-//   --gvt-interval N          committed events between GVT passes on the
-//                             sequential drivers (adaptively retuned at
-//                             runtime unless the config disables it)
+// the optimistic path for the gate to rediscover. GVT passes run every
+// max(256, P) scheduler pops on the sequential drivers and at every round
+// barrier on the threaded one. Two knobs tune checkpointing without
+// changing any simulated result (digests are bit-identical across every
+// setting):
 //   --checkpoint-interval N   committed consumes between per-rank restore
 //                             points; rollback coast-forwards from the
 //                             newest checkpoint at-or-before the violation
@@ -119,8 +117,6 @@
 //                             (replay from rank start, unpruned log).
 //   --checkpoint-adaptive     auto-tune the interval per rank from observed
 //                             rollback frequency (default on)
-//   --speculation-window SEC  hold back ranks more than SEC of virtual time
-//                             ahead of GVT (default unbounded)
 //
 // `serve` runs the long-lived campaign daemon (DESIGN.md §16): a local
 // HTTP API (loopback by default, ephemeral port published via
@@ -267,14 +263,6 @@ json::Value spec_doc_from_args(Args& args) {
   if (args.has("schedule")) {
     doc.set("schedule", json::Value(args.str("schedule", "")));
   }
-  if (args.has("gvt-interval")) {
-    const long long v = args.num("gvt-interval", 0);
-    if (v < 1) {
-      throw std::runtime_error("flag --gvt-interval: must be >= 1, got '" +
-                               std::to_string(v) + "'");
-    }
-    doc.set("gvt_interval", json::Value(static_cast<std::int64_t>(v)));
-  }
   if (args.has("checkpoint-interval")) {
     // "none" disables checkpoints (rollback replays from rank start);
     // otherwise the value is a committed-consume count >= 1.
@@ -291,14 +279,6 @@ json::Value spec_doc_from_args(Args& args) {
   }
   if (args.has("checkpoint-adaptive")) {
     doc.set("checkpoint_adaptive", json::Value(args.flag("checkpoint-adaptive")));
-  }
-  if (args.has("speculation-window")) {
-    const double v = args.real("speculation-window", 0.0);
-    if (v <= 0.0) {
-      throw std::runtime_error(
-          "flag --speculation-window: must be > 0 seconds of virtual time");
-    }
-    doc.set("speculation_window_sec", json::Value(v));
   }
   if (args.flag("abstract-comm")) doc.set("abstract_comm", json::Value(true));
   if (args.has("memory-cap-mb")) {

@@ -48,12 +48,13 @@ std::string option_to_string(const std::string& key, const json::Value& v) {
 }  // namespace
 
 const std::vector<std::string>& published_schema_versions() {
-  // Every tag kSimulatorVersion has ever carried. The schema only grows
-  // additively (new optional keys with defaults), so a document written
-  // for any published version parses under the current reader; the list
+  // Every tag kSimulatorVersion has ever carried. The schema grows
+  // additively (new optional keys with defaults) and retired keys are
+  // still read and ignored, so a document written for any published
+  // version parses under the current reader; the list
   // exists to *reject* documents from the future, not to branch readers.
   static const std::vector<std::string> kVersions = {
-      "stgsim-5", "stgsim-6", "stgsim-7", "stgsim-8"};
+      "stgsim-5", "stgsim-6", "stgsim-7", "stgsim-8", "stgsim-9"};
   return kVersions;
 }
 
@@ -104,13 +105,9 @@ json::Value run_config_to_json(const RunConfig& config) {
   out.set("partition",
           json::Value(simk::partition_mode_name(config.partition)));
   out.set("schedule", json::Value(schedule_name(config.schedule)));
-  out.set("gvt_interval",
-          json::Value(static_cast<double>(config.gvt_interval)));
   out.set("checkpoint_interval",
           json::Value(static_cast<double>(config.checkpoint_interval)));
   out.set("checkpoint_adaptive", json::Value(config.checkpoint_adaptive));
-  out.set("speculation_window_sec",
-          json::Value(config.speculation_window_sec));
   out.set("abstract_comm", json::Value(config.abstract_comm));
   out.set("memory_cap_mb",
           json::Value(static_cast<double>(config.memory_cap_bytes) /
@@ -157,21 +154,16 @@ bool apply_config_key(RunConfig* config, const std::string& key,
       throw std::runtime_error("unknown schedule '" + value.as_string() +
                                "' (expected conservative|optimistic)");
     }
-  } else if (key == "gvt_interval") {
-    const std::int64_t n = value.as_int();
-    if (n < 0) throw std::runtime_error("gvt_interval must be >= 0");
-    config->gvt_interval = static_cast<std::uint64_t>(n);
+  } else if (key == "gvt_interval" || key == "speculation_window_sec") {
+    // Optimistic tuning keys retired in stgsim-9. They never changed a
+    // simulated result, so stgsim-5..8 documents that carry them still
+    // parse, to the same run.
   } else if (key == "checkpoint_interval") {
     const std::int64_t n = value.as_int();
     if (n < 0) throw std::runtime_error("checkpoint_interval must be >= 0");
     config->checkpoint_interval = static_cast<std::uint64_t>(n);
   } else if (key == "checkpoint_adaptive") {
     config->checkpoint_adaptive = value.as_bool();
-  } else if (key == "speculation_window_sec") {
-    config->speculation_window_sec = value.as_number();
-    if (config->speculation_window_sec < 0.0) {
-      throw std::runtime_error("speculation_window_sec must be >= 0");
-    }
   } else if (key == "abstract_comm") {
     config->abstract_comm = value.as_bool();
   } else if (key == "memory_cap_mb") {
@@ -535,17 +527,12 @@ json::Value run_spec_schema_json() {
                                      "rank->worker placement policy"));
   props.set("schedule", schema_enum({"conservative", "optimistic"},
                                     "synchronization protocol"));
-  props.set("gvt_interval",
-            schema_type("integer", "committed events between GVT passes"));
   props.set("checkpoint_interval",
             schema_type("integer",
                         "committed consumes between per-rank checkpoints "
                         "(0 disables checkpoints)"));
   props.set("checkpoint_adaptive",
             schema_type("boolean", "auto-tune the checkpoint interval"));
-  props.set("speculation_window_sec",
-            schema_type("number",
-                        "bounded-speculation window (0 = unbounded)"));
   props.set("abstract_comm",
             schema_type("boolean", "abstract communication model"));
   props.set("memory_cap_mb", schema_type("number", "simulated-data cap"));

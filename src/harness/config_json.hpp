@@ -41,17 +41,17 @@ namespace stgsim::harness {
 /// models, protocol costs, app kernels). Part of every cache key, so stale
 /// campaign caches invalidate wholesale instead of serving results from an
 /// older simulator.
-inline constexpr const char kSimulatorVersion[] = "stgsim-8";
+inline constexpr const char kSimulatorVersion[] = "stgsim-9";
 
 /// The RunSpec/RunOutcome JSON is a *public wire schema*: clients of the
 /// serve daemon and config files on disk both speak it. Published versions,
 /// oldest first; the last entry is always kSimulatorVersion. A document may
 /// carry an explicit "schema" key naming its version — run_spec_from_json
-/// accepts any published version (the schema has only ever grown
-/// additively, so older documents parse under the current reader) and
-/// rejects unknown/future versions with a structured error listing the
-/// supported set, instead of misreading a document written for a newer
-/// simulator.
+/// accepts any published version (the schema grows additively, and keys it
+/// retires are still read and ignored, so older documents parse under the
+/// current reader) and rejects unknown/future versions with a structured
+/// error listing the supported set, instead of misreading a document
+/// written for a newer simulator.
 const std::vector<std::string>& published_schema_versions();
 
 /// True iff `name` appears in published_schema_versions().

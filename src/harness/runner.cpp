@@ -106,12 +106,8 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
   if (optimistic) {
     ec.optimistic = true;
     ec.unsafe_commit_before_gvt = config.unsafe_commit_before_gvt;
-    if (config.gvt_interval > 0) ec.gvt_interval = config.gvt_interval;
     ec.checkpoint_interval = config.checkpoint_interval;
     ec.checkpoint_adaptive = config.checkpoint_adaptive;
-    if (config.speculation_window_sec > 0.0) {
-      ec.speculation_window = vtime_from_sec(config.speculation_window_sec);
-    }
     STGSIM_CHECK(config.mode != Mode::kMeasured)
         << "optimistic schedule: emulation (contention/jitter state) cannot "
            "be rolled back";

@@ -107,11 +107,6 @@ struct RunConfig {
   // setting; they trade rollback re-execution cost against checkpoint and
   // log memory.
 
-  /// Committed events between GVT passes on the sequential drivers
-  /// (0 = engine default). The engine retunes the live interval around
-  /// this value when gvt_adaptive is on.
-  std::uint64_t gvt_interval = 0;
-
   /// Committed consumes between per-rank checkpoints (0 = checkpoints
   /// off: rollback replays from rank start and the consumption log is
   /// never pruned — the pre-checkpoint behaviour).
@@ -120,11 +115,6 @@ struct RunConfig {
   /// Auto-tune the per-rank checkpoint interval from observed rollback
   /// frequency (halve on rollback, grow while rollback-free).
   bool checkpoint_adaptive = true;
-
-  /// Bounded-speculation window in seconds: a rank whose clock is more
-  /// than this ahead of GVT is held back until GVT catches up
-  /// (0 = unbounded). Ignored under model checking.
-  double speculation_window_sec = 0.0;
 
   std::size_t fiber_stack_bytes = 256 * 1024;
   std::uint64_t seed = 20260704;

@@ -10,7 +10,10 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+
+#include "support/numparse.hpp"
 
 namespace stgsim::serve {
 
@@ -93,6 +96,7 @@ bool read_request(int fd, HttpRequest* out) {
   out->path = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
 
   std::size_t content_length = 0;
+  bool have_length = false;
   std::size_t pos = line_end == std::string::npos ? header.size()
                                                   : line_end + 2;
   while (pos < header.size()) {
@@ -103,12 +107,25 @@ bool read_request(int fd, HttpRequest* out) {
     const std::size_t colon = line.find(':');
     if (colon == std::string::npos) continue;
     const std::string name = line.substr(0, colon);
-    std::size_t v = colon + 1;
-    while (v < line.size() && line[v] == ' ') ++v;
     if (iequals(name, "content-length")) {
-      content_length = static_cast<std::size_t>(
-          std::strtoull(line.c_str() + v, nullptr, 10));
-      if (content_length > (64u << 20)) return false;  // refuse huge bodies
+      // 1*DIGIT, optional surrounding whitespace, nothing else: no sign,
+      // no trailing bytes, and a repeated header must repeat the value.
+      std::string_view value(line);
+      value.remove_prefix(colon + 1);
+      const auto ows = [](char c) { return c == ' ' || c == '\t'; };
+      while (!value.empty() && ows(value.front())) value.remove_prefix(1);
+      while (!value.empty() && ows(value.back())) value.remove_suffix(1);
+      long long n = 0;
+      if (value.empty() || value.front() < '0' || value.front() > '9' ||
+          support::parse_i64(value, &n) != support::ParseNumStatus::kOk) {
+        return false;
+      }
+      if (n > (64 << 20)) return false;  // refuse huge bodies
+      if (have_length && static_cast<std::size_t>(n) != content_length) {
+        return false;
+      }
+      content_length = static_cast<std::size_t>(n);
+      have_length = true;
     }
   }
 
@@ -256,11 +273,15 @@ void HttpServer::accept_loop() {
   while (!stopping_.load()) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int r = ::poll(&pfd, 1, /*timeout_ms=*/200);
+    reap_finished();
     if (r <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // The thread is created under the lock, so it cannot announce its
+    // own end before it is in conns_.
     std::lock_guard lk(conn_mu_);
-    conns_.emplace_back([this, fd] {
+    const std::uint64_t id = next_conn_++;
+    conns_.emplace(id, std::thread([this, fd, id] {
       HttpRequest req;
       if (read_request(fd, &req)) {
         ResponseWriter w(fd);
@@ -275,8 +296,29 @@ void HttpServer::accept_loop() {
       }
       ::shutdown(fd, SHUT_RDWR);
       ::close(fd);
-    });
+      std::lock_guard done(conn_mu_);
+      finished_.push_back(id);
+    }));
   }
+}
+
+void HttpServer::reap_finished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard lk(conn_mu_);
+    for (const std::uint64_t id : finished_) {
+      const auto it = conns_.find(id);
+      done.push_back(std::move(it->second));
+      conns_.erase(it);
+    }
+    finished_.clear();
+  }
+  for (std::thread& t : done) t.join();
+}
+
+std::size_t HttpServer::connection_threads() const {
+  std::lock_guard lk(conn_mu_);
+  return conns_.size();
 }
 
 void HttpServer::stop() {
@@ -285,14 +327,16 @@ void HttpServer::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  std::vector<std::thread> conns;
+  // Every handler still running is waited for; the accept loop has
+  // exited, so nothing else joins or adds threads now.
+  std::map<std::uint64_t, std::thread> conns;
   {
     std::lock_guard lk(conn_mu_);
     conns.swap(conns_);
   }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : conns) t.join();
+  std::lock_guard lk(conn_mu_);
+  finished_.clear();
 }
 
 HttpResponse http_request(const std::string& host, int port,

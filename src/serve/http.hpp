@@ -11,13 +11,16 @@
 // the end-of-stream marker.
 //
 // The server runs one accept loop (poll()-interruptible so stop() is
-// prompt) and a thread per connection; the handler decides per request
+// prompt) and a thread per connection, joined by the accept loop soon
+// after its connection closes; the handler decides per request
 // whether to stream (ResponseWriter::begin_stream + write) or answer in
 // one shot (ResponseWriter::finish).
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -75,16 +78,24 @@ class HttpServer {
 
   int port() const { return port_; }
 
+  /// Connection threads not yet joined: live handlers plus any finished
+  /// since the accept loop last woke (it wakes at least every 200 ms).
+  std::size_t connection_threads() const;
+
  private:
   void accept_loop();
+  /// Joins the connection threads that have finished.
+  void reap_finished();
 
   int listen_fd_ = -1;
   int port_ = 0;
   Handler handler_;
   std::atomic<bool> stopping_{false};
+  mutable std::mutex conn_mu_;  // guards the three members below
+  std::uint64_t next_conn_ = 0;
+  std::map<std::uint64_t, std::thread> conns_;  ///< keyed by accept order
+  std::vector<std::uint64_t> finished_;         ///< ids ready to join
   std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conns_;
 };
 
 /// Blocking client helpers (the CLI's submit/status side).

@@ -301,7 +301,6 @@ Engine::Engine(EngineConfig config) : config_(config) {
         << "unsafe-wildcard injection targets the conservative safety "
            "bound; use unsafe_commit_before_gvt against the optimistic "
            "scheduler";
-    if (config_.gvt_interval == 0) config_.gvt_interval = 256;
   } else {
     STGSIM_CHECK(!config_.unsafe_commit_before_gvt)
         << "commit-before-gvt injection requires the optimistic scheduler";
@@ -1008,39 +1007,10 @@ Engine::OptDebug Engine::opt_debug(int rank) const {
   return d;
 }
 
-bool Engine::opt_throttled(const Process& p) const {
-  const VTime w = config_.speculation_window;
-  if (w <= 0 || mc_active_) return false;
-  if (opt_throttle_override_.load(std::memory_order_relaxed)) return false;
-  const VTime g = gvt_.load(std::memory_order_relaxed);
-  if (g > kVTimeNever - w) return false;  // saturate instead of overflow
-  return p.clock_ > g + w;
-}
-
-void Engine::opt_retune_gvt() {
-  if (config_.gvt_adaptive) {
-    const std::uint64_t cur =
-        opt_log_bytes_.load(std::memory_order_relaxed);
-    // Log pressure rising past 1 MiB: fossil-collect more aggressively.
-    // Pressure flat or falling: back off toward (and past) the configured
-    // cadence, up to 4x — GVT passes are O(P) and pure overhead when the
-    // logs stay small. Inputs are virtual-state byte counts, not host
-    // timing, so the cadence (and the run) stays deterministic.
-    if (cur > opt_log_bytes_last_pass_ && cur > opt_gvt_pressure_bytes_) {
-      opt_gvt_interval_ = std::max<std::uint64_t>(16, opt_gvt_interval_ / 2);
-    } else if (opt_gvt_interval_ < 4 * opt_gvt_base_) {
-      opt_gvt_interval_ =
-          std::min(4 * opt_gvt_base_,
-                   opt_gvt_interval_ + opt_gvt_interval_ / 4 + 1);
-    }
-    opt_log_bytes_last_pass_ = cur;
-  }
-  opt_gvt_countdown_ = opt_gvt_interval_;
-}
-
 void Engine::opt_gvt_pass() {
+  opt_gvt_countdown_ = opt_gvt_cadence_;
   // Capture the retained-log high-water mark before fossil collection
-  // below shrinks it; the retune that follows the pass reads the fold.
+  // below shrinks it.
   opt_fold_log_bytes();
   VTime g = kVTimeNever;
   for (const auto& p : procs_) {
@@ -1408,28 +1378,11 @@ RunResult Engine::run() {
     for (auto& p : procs_) {
       p->opt_.effective_interval = config_.checkpoint_interval;
     }
-    // Fixed cadence honors the configured interval exactly; adaptive
-    // mode raises the baseline to the rank count so the O(P) pass costs
-    // O(1) amortized per scheduler pop regardless of scale, and treats
-    // ~16 KiB of logged state per rank as steady-state (one in-flight
-    // eager message each), not memory pressure.
-    opt_gvt_base_ = config_.gvt_interval;
-    if (config_.gvt_adaptive) {
-      opt_gvt_base_ = std::max<std::uint64_t>(
-          opt_gvt_base_, static_cast<std::uint64_t>(config_.num_processes));
-    }
-    opt_gvt_pressure_bytes_ = std::max<std::uint64_t>(
-        std::uint64_t{1} << 20,
-        (std::uint64_t{16} << 10) *
-            static_cast<std::uint64_t>(config_.num_processes));
-    opt_gvt_interval_ = opt_gvt_base_;
-    opt_gvt_countdown_ = opt_gvt_interval_;
-    opt_log_bytes_last_pass_ = 0;
+    opt_gvt_cadence_ = std::max<std::uint64_t>(
+        256, static_cast<std::uint64_t>(config_.num_processes));
+    opt_gvt_countdown_ = opt_gvt_cadence_;
     opt_log_bytes_.store(0, std::memory_order_relaxed);
     opt_log_bytes_peak_.store(0, std::memory_order_relaxed);
-    opt_throttled_.clear();
-    opt_throttle_override_.store(false, std::memory_order_relaxed);
-    opt_release_exempt_ = -1;
   }
 
   host_t0_sec_ = steady_now_sec();
@@ -1505,46 +1458,6 @@ void Engine::run_sequential() {
       }
       ready_.clear();
     }
-    if (config_.optimistic && heap.empty() && !opt_throttled_.empty()) {
-      // Every runnable rank has sped past the speculation window. Advance
-      // GVT, then re-admit ranks back inside the (new) window. If none
-      // qualify — the GVT-minimum rank may itself be blocked on a message
-      // a throttled peer has yet to send — release the earliest-clock one
-      // unconditionally so progress resumes.
-      opt_gvt_pass();
-      opt_retune_gvt();
-      const VTime g = gvt_.load(std::memory_order_relaxed);
-      const VTime w = config_.speculation_window;
-      std::size_t kept = 0;
-      std::size_t min_at = 0;
-      VTime min_clock = kVTimeNever;
-      for (const int r : opt_throttled_) {
-        Process& t = *procs_[static_cast<std::size_t>(r)];
-        if (g > kVTimeNever - w || t.clock_ <= g + w) {
-          heap.push(r, t.clock_);
-          continue;
-        }
-        if (t.clock_ < min_clock) {
-          min_clock = t.clock_;
-          min_at = kept;
-        }
-        opt_throttled_[kept++] = r;
-      }
-      opt_throttled_.resize(kept);
-      if (heap.empty() && kept > 0) {
-        const int r = opt_throttled_[min_at];
-        opt_throttled_.erase(opt_throttled_.begin() +
-                             static_cast<std::ptrdiff_t>(min_at));
-        heap.push(r, procs_[static_cast<std::size_t>(r)]->clock_);
-        // The forced release must survive the throttle re-check at pop
-        // time, or the loop spins without running anything.
-        opt_release_exempt_ = r;
-      }
-      for (int woken : ready_) {
-        heap.push(woken, procs_[static_cast<std::size_t>(woken)]->clock_);
-      }
-      ready_.clear();
-    }
     if (heap.empty()) raise_deadlock();
     // A process that blocks immediately never runs advance(), so its
     // in-fiber watchdog never fires; probe from the scheduler too.
@@ -1552,21 +1465,8 @@ void Engine::run_sequential() {
       raise_budget(BudgetExceededError::Kind::kHostWallClock,
                    "host wall-clock watchdog fired in scheduler");
     }
-    if (config_.optimistic && --opt_gvt_countdown_ == 0) {
-      opt_gvt_pass();
-      opt_retune_gvt();
-    }
-    const int rank = heap.pop();
-    Process& p = *procs_[static_cast<std::size_t>(rank)];
-    const bool release_exempt = (rank == opt_release_exempt_);
-    if (release_exempt) opt_release_exempt_ = -1;
-    if (config_.optimistic && !release_exempt && opt_throttled(p)) {
-      // Past the speculation window: hold the rank out of the schedule
-      // until GVT catches up (see the re-admission block above the
-      // deadlock check).
-      opt_throttled_.push_back(rank);
-      continue;
-    }
+    if (config_.optimistic && --opt_gvt_countdown_ == 0) opt_gvt_pass();
+    Process& p = *procs_[static_cast<std::size_t>(heap.pop())];
     resume_process(p);
     if (error_) abort_run(error_);
     if (config_.optimistic) {
@@ -1629,10 +1529,7 @@ void Engine::run_sequential_mc() {
       raise_budget(BudgetExceededError::Kind::kHostWallClock,
                    "host wall-clock watchdog fired in MC scheduler");
     }
-    if (config_.optimistic && --opt_gvt_countdown_ == 0) {
-      opt_gvt_pass();
-      opt_retune_gvt();
-    }
+    if (config_.optimistic && --opt_gvt_countdown_ == 0) opt_gvt_pass();
 
     options.clear();
     for (int rank : ready_set) {
@@ -1737,11 +1634,6 @@ void Engine::run_partition_round(int worker) {
   const int workers = config_.host_workers;
   VTime opt_fossil_seen =
       config_.optimistic ? gvt_.load(std::memory_order_relaxed) : 0;
-  // Ranks held out of this round because they ran past the speculation
-  // window; re-queued for the next round at exit (GVT will have advanced
-  // at the barrier). The scheduler thread sets opt_throttle_override_ when
-  // a whole round is throttled into making no progress.
-  std::vector<int> throttled;
   // Mid-round GVT publish (optimistic mode). Each worker periodically
   // publishes a single word: min(its unfinished ranks' clocks, the
   // smallest arrival it has put in transit since the barrier). One
@@ -1839,19 +1731,13 @@ void Engine::run_partition_round(int worker) {
       }
     }
     if (config_.optimistic && (iter & 255U) == 0) opt_publish_and_fossil();
-    const int rank = heap.pop();
-    Process& p = *procs_[static_cast<std::size_t>(rank)];
-    if (config_.optimistic && opt_throttled(p)) {
-      throttled.push_back(rank);
-      continue;
-    }
+    Process& p = *procs_[static_cast<std::size_t>(heap.pop())];
     const VTime clock_before = p.clock_;
     resume_process(p);
     ws.busy_vtime += p.clock_ - clock_before;
     ++ws.slices;
   }
   if (active) round_running_.fetch_sub(1, std::memory_order_acq_rel);
-  local_ready.insert(local_ready.end(), throttled.begin(), throttled.end());
 }
 
 namespace {
@@ -1967,8 +1853,6 @@ void Engine::run_threaded() {
     prev_min = min_clock;
     ++round_epoch_;
 
-    std::uint64_t slices_before = 0;
-    for (const auto& w : worker_stats_) slices_before += w.slices;
     round_running_.store(workers, std::memory_order_relaxed);
     threaded_phase_ = true;
     pool.run_round();
@@ -2022,17 +1906,6 @@ void Engine::run_threaded() {
         gvt_.store(g, std::memory_order_relaxed);
         gvt_passes_.fetch_add(1, std::memory_order_relaxed);
         for (const auto& p : procs_) opt_fossil_rank(*p, g);
-      }
-      if (config_.speculation_window > 0) {
-        // A round in which every worker only stashed throttled ranks made
-        // zero slices while work remains: GVT cannot advance (the minimum
-        // rank is blocked on a throttled peer), so let the next round run
-        // unthrottled rather than deadlock at the window edge.
-        std::uint64_t slices_after = 0;
-        for (const auto& w : worker_stats_) slices_after += w.slices;
-        opt_throttle_override_.store(
-            slices_after == slices_before && any_ready(),
-            std::memory_order_relaxed);
       }
     }
   }

@@ -388,11 +388,6 @@ struct EngineConfig {
   /// commit — the commit-before-GVT race `stgsim check` must rediscover.
   bool unsafe_commit_before_gvt = false;
 
-  /// Optimistic mode: scheduler iterations between GVT / fossil passes.
-  /// With gvt_adaptive the value is the starting cadence; the engine then
-  /// retunes it from consumption-log pressure.
-  std::uint64_t gvt_interval = 256;
-
   /// Optimistic mode: committed consumptions between per-rank checkpoints
   /// (engine cursors + an app-layer state blob, see sim/rollback.hpp).
   /// Checkpoints bound both rollback cost (coast-forward replays at most
@@ -406,17 +401,6 @@ struct EngineConfig {
   /// configured value) after long rollback-free stretches. Never affects
   /// committed results — only where restore points sit.
   bool checkpoint_adaptive = true;
-
-  /// Adapt the GVT cadence of the single-threaded optimistic drivers to
-  /// consumption-log pressure: pass more often while retained log bytes
-  /// grow, back off while the logs stay small.
-  bool gvt_adaptive = true;
-
-  /// Optimistic mode: bound on speculation depth. A ready rank whose clock
-  /// is more than this far past GVT is throttled until GVT catches up
-  /// (rollback-storm damper). 0 = unbounded speculation. Not applied in MC
-  /// mode, where the oracle owns the schedule.
-  VTime speculation_window = 0;
 
   // Run budgets (0 = unlimited). When a budget is exceeded the run is torn
   // down cleanly and BudgetExceededError is thrown, so a pathological
@@ -693,8 +677,9 @@ class Engine {
   /// Drains this context's pending anti-messages iteratively, so a
   /// rollback cascade never recurses deeper than one level per message.
   void opt_flush_antis();
-  /// Exact GVT pass for the single-threaded drivers: min over unfinished
-  /// clocks (and MC in-flight lanes), then fossil-collects every rank.
+  /// Exact GVT pass for the single-threaded drivers: re-arms the pass
+  /// countdown, takes the min over unfinished clocks (and MC in-flight
+  /// lanes), then fossil-collects every rank.
   void opt_gvt_pass();
   /// Fossil collection for one rank at GVT `g`: finalizes (erases)
   /// wildcard records with arrival < g, prunes the committed send-log
@@ -715,14 +700,6 @@ class Engine {
   void opt_log_release(Process& p, const Message& m);
   std::uint64_t opt_fold_log_bytes();
   static std::size_t opt_entry_bytes(const Message& m);
-  /// True when the optimistic speculation window throttles `p`: its clock
-  /// is more than config.speculation_window past GVT. Never true for the
-  /// GVT-defining (minimum-clock) rank, so progress is preserved.
-  bool opt_throttled(const Process& p) const;
-  /// Re-arms the single-threaded drivers' GVT countdown; with gvt_adaptive
-  /// the cadence shrinks while consumption-log bytes grow and stretches
-  /// back out while they shrink (bounds [16, 4x configured]).
-  void opt_retune_gvt();
   /// Per-context stat cell (worker-local when threaded, slot 0 otherwise).
   WorkerStat& opt_stat();
   /// Records `p` (blocked on a wildcard spec with at least one queued
@@ -843,33 +820,13 @@ class Engine {
   std::atomic<std::uint64_t> opt_log_bytes_{0};
   std::atomic<std::uint64_t> opt_log_bytes_peak_{0};
 
-  // Adaptive GVT cadence for the single-threaded optimistic drivers:
-  // countdown to the next pass, re-armed to opt_gvt_interval_ which the
-  // pass itself retunes from log pressure (within [16, 4x the baseline]).
-  // A pass is an O(P) scan, so the adaptive baseline scales with the
-  // rank count — a fixed cadence turns GVT into O(P/interval) amortized
-  // work per scheduler pop, which at 4096+ ranks dominates the run. The
-  // pressure threshold scales the same way: "the logs hold one eager
-  // message per rank" is steady state, not an emergency.
-  std::uint64_t opt_gvt_interval_ = 256;
+  // GVT cadence of the single-threaded optimistic drivers: a pass every
+  // max(256, P) scheduler pops. A pass is an O(P) scan, so scaling the
+  // cadence with the rank count keeps it O(1) amortized per pop; a fixed
+  // cadence would make GVT O(P/interval) work per pop, which at 4096+
+  // ranks dominates the run.
+  std::uint64_t opt_gvt_cadence_ = 256;
   std::uint64_t opt_gvt_countdown_ = 256;
-  std::uint64_t opt_gvt_base_ = 256;
-  std::uint64_t opt_gvt_pressure_bytes_ = std::uint64_t{1} << 20;
-  std::uint64_t opt_log_bytes_last_pass_ = 0;
-
-  // Speculation-window throttling: ready ranks past the window wait here
-  // (sequential driver) until a GVT pass re-admits them; the threaded
-  // driver instead skips over-window heap minima for a round, with a
-  // one-shot override when a whole round made no progress (the
-  // window-defining minimum rank may be blocked on a throttled peer).
-  std::vector<int> opt_throttled_;
-  std::atomic<bool> opt_throttle_override_{false};
-  // Rank granted a one-slice pass through the throttle check by the
-  // sequential driver's forced release. Without it the released rank is
-  // re-throttled at the very next pop (its clock is still past the
-  // window) and the driver livelocks: GVT pass, release, re-throttle,
-  // with no virtual state changing in between.
-  int opt_release_exempt_ = -1;
 
   // Wildcard safety: ranks blocked on a wildcard receive whose queued
   // candidate has not passed the safety bound yet. Sequential deliveries

@@ -1,6 +1,6 @@
 // Tests for the optimistic scheduler's state-saving layer (DESIGN.md §15):
 // periodic per-rank checkpoints, coast-forward restore, GVT-gated
-// consumption-log pruning, and the adaptive tuning knobs. The contract
+// consumption-log pruning, and the adaptive checkpoint interval. The contract
 // under test throughout: none of these mechanisms may change committed
 // results — digests stay bit-identical to the sequential conservative
 // scheduler at every checkpoint interval, including runs whose fault
@@ -16,6 +16,7 @@
 #include "apps/sample.hpp"
 #include "apps/sweep3d.hpp"
 #include "apps/tomcatv.hpp"
+#include "campaign/exec.hpp"
 #include "fault/fault.hpp"
 #include "harness/config_json.hpp"
 #include "harness/digest.hpp"
@@ -78,6 +79,24 @@ std::vector<AppCase> small_apps() {
   return cases;
 }
 
+// stgsim-9 retired gvt_interval and speculation_window_sec. A document
+// written for stgsim-8 may still carry them; the reader accepts and ignores
+// them, so such a document must be the same run as one without them.
+const char kSampleSpecBody[] = R"("app": "sample",
+    "options": {"pattern": "anysource", "iters": "2", "work": "2000",
+                "msg-doubles": "64"},
+    "procs": 8, "mode": "de", "schedule": "optimistic",
+    "checkpoint_interval": 4, "checkpoint_adaptive": true)";
+
+harness::RunSpec sample_spec(bool with_retired_keys) {
+  const std::string head =
+      with_retired_keys ? R"({"schema": "stgsim-8", "gvt_interval": 16,
+                              "speculation_window_sec": 0.0001, )"
+                        : "{";
+  return harness::run_spec_from_json(
+      json::Value::parse(head + kSampleSpecBody + "}"));
+}
+
 /// Fixed intervals exercised everywhere: every-consume, small, the
 /// default, and 0 = checkpoints off (replay-from-zero, unpruned log).
 const std::uint64_t kIntervals[] = {1, 4, 64, 0};
@@ -112,11 +131,30 @@ TEST(Checkpoint, AdaptiveTuningAndSpeculationWindowPreserveDigests) {
       cfg.threads = workers;
       cfg.checkpoint_interval = 4;
       cfg.checkpoint_adaptive = true;
-      cfg.gvt_interval = 16;
-      cfg.speculation_window_sec = 1e-4;  // aggressive throttle
       EXPECT_EQ(digest_of(app.prog, cfg), want)
-          << app.name << " adaptive+window workers=" << workers;
+          << app.name << " adaptive workers=" << workers;
     }
+  }
+
+  // A stgsim-8 spec still naming the retired GVT interval and speculation
+  // window simulates the same run as the key-less spec and as the
+  // conservative scheduler.
+  const harness::RunSpec current = sample_spec(/*with_retired_keys=*/false);
+  const harness::RunSpec legacy = sample_spec(/*with_retired_keys=*/true);
+  harness::RunSpec sequential = current;
+  sequential.config.schedule = harness::Schedule::kConservative;
+  const std::string want = harness::run_digest_hex(
+      campaign::execute_spec(sequential, /*with_metrics=*/false));
+  for (int workers : {0, 4}) {
+    harness::RunSpec a = current;
+    harness::RunSpec b = legacy;
+    a.config.threads = b.config.threads = workers;
+    const std::string got_a =
+        harness::run_digest_hex(campaign::execute_spec(a, false));
+    const std::string got_b =
+        harness::run_digest_hex(campaign::execute_spec(b, false));
+    EXPECT_EQ(got_b, got_a) << "workers=" << workers;
+    EXPECT_EQ(got_a, want) << "workers=" << workers;
   }
 }
 
@@ -248,7 +286,7 @@ TEST(Checkpoint, RollbackDepthHistogramAccountsForEveryRollback) {
 
 TEST(Checkpoint, CheckpointsBoundConsumptionLogMemory) {
   apps::SampleConfig c;
-  c.iterations = 30;
+  c.iterations = 120;
   c.msg_doubles = 256;
   c.work_iters = 1000;
   const ir::Program prog = apps::make_sample(c);
@@ -258,7 +296,6 @@ TEST(Checkpoint, CheckpointsBoundConsumptionLogMemory) {
     cfg.schedule = harness::Schedule::kOptimistic;
     cfg.checkpoint_interval = interval;
     cfg.checkpoint_adaptive = false;
-    cfg.gvt_interval = 16;
     harness::RunOutcome out = harness::run_program(prog, cfg);
     EXPECT_TRUE(out.ok()) << out.diagnostic;
     EXPECT_EQ(out.parallel.checkpoints_taken > 0, interval != 0);
@@ -279,14 +316,13 @@ TEST(Checkpoint, CheckpointsBoundConsumptionLogMemory) {
 
 TEST(Checkpoint, FossilCollectionPrunesBehindCommittedCheckpoints) {
   constexpr int kProcs = 4;
-  constexpr std::int64_t kIters = 64;
+  // Long enough for several GVT passes at the fixed max(256, P) cadence.
+  constexpr std::int64_t kIters = 1024;
   simk::EngineConfig cfg;
   cfg.num_processes = kProcs;
   cfg.optimistic = true;
   cfg.checkpoint_interval = 4;
   cfg.checkpoint_adaptive = false;
-  cfg.gvt_interval = 16;
-  cfg.gvt_adaptive = false;
   simk::Engine e(cfg);
   e.set_body([](simk::Process& p) {
     const int r = p.rank();
@@ -350,16 +386,12 @@ TEST(Checkpoint, FossilCollectionPrunesBehindCommittedCheckpoints) {
 
 TEST(Checkpoint, TuningKnobsRoundTripThroughConfigJson) {
   harness::RunConfig cfg;
-  cfg.gvt_interval = 32;
   cfg.checkpoint_interval = 7;
   cfg.checkpoint_adaptive = false;
-  cfg.speculation_window_sec = 0.25;
-  const json::Value j = harness::run_config_to_json(cfg);
-  const harness::RunConfig back = harness::run_config_from_json(j);
-  EXPECT_EQ(back.gvt_interval, 32u);
+  const harness::RunConfig back =
+      harness::run_config_from_json(harness::run_config_to_json(cfg));
   EXPECT_EQ(back.checkpoint_interval, 7u);
   EXPECT_FALSE(back.checkpoint_adaptive);
-  EXPECT_DOUBLE_EQ(back.speculation_window_sec, 0.25);
 
   // "checkpoint_interval": 0 is the canonical spelling of "off".
   harness::RunConfig off;
@@ -367,6 +399,16 @@ TEST(Checkpoint, TuningKnobsRoundTripThroughConfigJson) {
   EXPECT_EQ(harness::run_config_from_json(harness::run_config_to_json(off))
                 .checkpoint_interval,
             0u);
+
+  // The retired knobs parse, and canonicalize away: same cache key.
+  const harness::RunSpec legacy = sample_spec(/*with_retired_keys=*/true);
+  const json::Value canonical = harness::run_spec_to_json(legacy);
+  EXPECT_EQ(canonical.dump(),
+            harness::run_spec_to_json(sample_spec(false)).dump());
+  EXPECT_FALSE(canonical.has("gvt_interval"));
+  EXPECT_FALSE(canonical.has("speculation_window_sec"));
+  EXPECT_EQ(legacy.config.checkpoint_interval, 4u);
+  EXPECT_TRUE(legacy.config.checkpoint_adaptive);
 }
 
 }  // namespace

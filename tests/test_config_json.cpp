@@ -261,10 +261,10 @@ TEST(RunSpecJson, UnknownSchemaVersionIsAStructuredRejection) {
 
 TEST(RunSpecJson, PublishedJsonSchemasNameTheCurrentVersion) {
   const json::Value spec_schema = harness::run_spec_schema_json();
-  EXPECT_EQ(spec_schema.at("$id").as_string(), "stgsim-8/run-spec");
+  EXPECT_EQ(spec_schema.at("$id").as_string(), "stgsim-9/run-spec");
   EXPECT_TRUE(spec_schema.at("properties").has("max_host_sec"));
   const json::Value outcome_schema = harness::run_outcome_schema_json();
-  EXPECT_EQ(outcome_schema.at("$id").as_string(), "stgsim-8/run-outcome");
+  EXPECT_EQ(outcome_schema.at("$id").as_string(), "stgsim-9/run-outcome");
   EXPECT_TRUE(outcome_schema.at("properties").has("digest"));
 }
 

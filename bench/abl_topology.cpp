@@ -38,9 +38,10 @@ double run_with(smpi::CollAlgo algo, int procs,
   simk::EngineConfig ec;
   ec.num_processes = procs;
   simk::Engine engine(ec);
+  const ir::Plan plan(prog);
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    ir::execute(prog, comm);
+    ir::execute(plan, comm);
   });
   return vtime_to_sec(engine.run().completion);
 }

@@ -93,6 +93,7 @@ void BM_InterpScalarLoop(benchmark::State& state) {
     b.assign("acc", Expr::var("acc") + i);
   });
   ir::Program prog = b.take();
+  const ir::Plan plan(prog);
 
   for (auto _ : state) {
     smpi::World::Options wopts;
@@ -102,7 +103,7 @@ void BM_InterpScalarLoop(benchmark::State& state) {
     simk::Engine engine(ec);
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(world, p);
-      ir::execute(prog, comm);
+      ir::execute(plan, comm);
     });
     auto res = engine.run();
     benchmark::DoNotOptimize(res.completion);

@@ -312,6 +312,7 @@ int run_threaded_sweep(int max_procs, const std::string& out_path,
 void write_json(const std::string& path, const std::vector<Point>& points) {
   std::ofstream os(path);
   os << "{\n  \"bench\": \"engine_scale\",\n  \"mode\": \"am\",\n"
+     << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
      << "  \"results\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];

@@ -64,9 +64,10 @@ int main() {
     simk::Engine engine(ec);
     ir::ExecOptions xopts;
     xopts.observer = &observer;
+    const ir::Plan plan(prog);
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(world, p);
-      ir::execute(prog, comm, xopts);
+      ir::execute(plan, comm, xopts);
     });
     engine.run();
     core::Dtg dtg = recorder.build();

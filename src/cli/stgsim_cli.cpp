@@ -143,12 +143,9 @@
 // Examples:
 //   stgsim run --app tomcatv --n 1024 --procs 64 --mode am
 //   stgsim run --app sweep3d --kt 1000 --procs 10000 --mode am --calibrate 16
-//   stgsim run --app sweep3d --procs 4 --mode de \
-//       --fault "link:src=0,dst=1,latency=4,bandwidth=0.25;straggler:rank=2,factor=2"
-//   stgsim run --app tomcatv --procs 16 --mode de \
-//       --machine "ibm_sp[latency_us=30,bw=120e6]"
-//   stgsim run --app sweep3d --procs 64 --mode de --links-out links.json \
-//       --machine "ibm_sp[topo=fattree,radix=16,algo.bcast=binomial]"
+//   stgsim run --app sweep3d --procs 4 --mode de --fault "link:src=0,dst=1,latency=4,bandwidth=0.25;straggler:rank=2,factor=2"
+//   stgsim run --app tomcatv --procs 16 --mode de --machine "ibm_sp[latency_us=30,bw=120e6]"
+//   stgsim run --app sweep3d --procs 64 --mode de --links-out links.json --machine "ibm_sp[topo=fattree,radix=16,algo.bcast=binomial]"
 //   stgsim campaign examples/scenario_sweep3d.json --jobs 4 --out-dir out
 //   stgsim compile --app nas_sp --class A --procs 16 --dump-stg sp.dot
 #include <atomic>
@@ -382,9 +379,10 @@ int cmd_compile(Args& args) {
     simk::Engine engine(ec);
     ir::ExecOptions xopts;
     xopts.observer = &observer;
+    const ir::Plan plan(prog);
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(world, p);
-      ir::execute(prog, comm, xopts);
+      ir::execute(plan, comm, xopts);
     });
     engine.run();
     core::Dtg dtg = recorder.build();

@@ -180,9 +180,10 @@ RunOutcome run_program(const ir::Program& prog, const RunConfig& config,
         if (config.obs != nullptr) config.obs->reset_rank(rank);
       });
     }
+    const ir::Plan plan(prog);
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(*world, p);
-      ir::execute(prog, comm, xopts);
+      ir::execute(plan, comm, xopts);
     });
     simk::RunResult rr = engine.run();
     out.predicted_time = rr.completion;

@@ -1,7 +1,6 @@
 #include "ir/interp.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "machine/compute.hpp"
 #include "support/blob.hpp"
@@ -33,33 +32,45 @@ struct ArrayVal {
   std::vector<std::int64_t> extents;
   std::size_t elems = 0;
   std::size_t elem_bytes = sizeof(double);
+  bool declared = false;  ///< its kDeclArray has executed on this rank
 };
+
+/// Stamp value no write generation reaches: a memo entry holding it has
+/// never been computed.
+constexpr std::uint64_t kNeverStamped = ~std::uint64_t{0};
 
 }  // namespace
 
 /// Per-rank interpreter state: one flat frame of scalars, arrays and
 /// request lists (the paper's single-procedure model).
 ///
-/// Scalars live in a dense slot frame: each name resolves to an index once
-/// (on declaration or first compiled-expression binding) and every read or
-/// write thereafter is vector indexing. The hot expressions — kDelay
-/// seconds, kFor bounds, kernel iteration counts — are compiled to
-/// sym::CompiledExpr tapes on first execution (or taken pre-compiled from
-/// the code generator) with their free variables bound to frame slots, so
-/// the steady state performs no name lookups at all. Cold expressions
-/// (declarations, extents, communication operands) keep the tree walker.
+/// Everything derivable from the program text lives in the shared,
+/// read-only Plan (plan.hpp): the slot layout, array and request-list ids,
+/// and each statement's compiled hot operands. This object holds only what
+/// differs per rank — frame values, definedness and write generations, the
+/// memo table, arrays and request lists by id, scratch space and the
+/// position stack — so a rank's set-up is a handful of allocations and no
+/// compilation.
 class ExecState : public sym::Env {
  public:
-  ExecState(const Program& prog, smpi::Comm& comm, const ExecOptions& options)
-      : prog_(prog), comm_(comm), options_(options) {
-    stmt_cache_.resize(static_cast<std::size_t>(prog.next_id()));
-  }
+  ExecState(const Plan& plan, smpi::Comm& comm, const ExecOptions& options)
+      : plan_(plan),
+        comm_(comm),
+        options_(options),
+        frame_(static_cast<std::size_t>(plan.num_slots())),
+        frame_defined_(static_cast<std::size_t>(plan.num_slots()), 0),
+        frame_gen_(static_cast<std::size_t>(plan.num_slots()), 0),
+        memo_(static_cast<std::size_t>(plan.num_memos())),
+        memo_stamp_(static_cast<std::size_t>(plan.num_stamps()),
+                    kNeverStamped),
+        arrays_(static_cast<std::size_t>(plan.num_arrays())),
+        requests_(static_cast<std::size_t>(plan.num_request_lists())) {}
 
   void run() {
     simk::Process& proc = comm_.process();
     const std::vector<std::uint8_t>* blob = proc.pending_restore();
     if (blob == nullptr) {
-      exec_block(prog_.main());
+      exec_block(plan_.program().main());
       return;
     }
     // Optimistic-mode rollback into a checkpoint: rebuild the captured
@@ -76,57 +87,67 @@ class ExecState : public sym::Env {
     }
     proc.clear_pending_restore();
     STGSIM_CHECK(!pos.empty()) << "checkpoint blob carries no position";
-    exec_block_resume(prog_.main(), pos, 0);
+    exec_block_resume(plan_.program().main(), pos, 0);
   }
 
   // sym::Env
   std::optional<sym::Value> lookup(const std::string& name) const override {
-    auto it = frame_index_.find(name);
-    if (it == frame_index_.end() ||
-        frame_defined_[static_cast<std::size_t>(it->second)] == 0) {
-      return std::nullopt;
-    }
-    return frame_[static_cast<std::size_t>(it->second)];
+    const int slot = plan_.slot(name);
+    if (!defined(slot)) return std::nullopt;
+    return frame_[static_cast<std::size_t>(slot)];
   }
 
   smpi::Comm& comm() { return comm_; }
 
   ArrayVal& array(const std::string& name) {
-    auto it = arrays_.find(name);
-    STGSIM_CHECK(it != arrays_.end()) << "unknown array '" << name << "'";
-    return it->second;
-  }
-  const ArrayVal& array(const std::string& name) const {
-    auto it = arrays_.find(name);
-    STGSIM_CHECK(it != arrays_.end()) << "unknown array '" << name << "'";
-    return it->second;
+    return array_at(plan_.array(name), name);
   }
 
   sym::Value scalar(const std::string& name) const {
-    auto it = frame_index_.find(name);
-    STGSIM_CHECK(it != frame_index_.end() &&
-                 frame_defined_[static_cast<std::size_t>(it->second)] != 0)
-        << "unknown scalar '" << name << "'";
-    return frame_[static_cast<std::size_t>(it->second)];
+    return read_slot(plan_.slot(name), name);
   }
 
-  void set_scalar(const std::string& name, sym::Value v, bool must_exist) {
-    if (must_exist) {
-      auto it = frame_index_.find(name);
-      STGSIM_CHECK(it != frame_index_.end() &&
-                   frame_defined_[static_cast<std::size_t>(it->second)] != 0)
-          << "assignment to undeclared scalar '" << name << "'";
-      write_slot(static_cast<std::size_t>(it->second), v);
-    } else {
-      const auto slot = static_cast<std::size_t>(slot_of(name));
-      frame_[slot] = v;
-      frame_defined_[slot] = 1;
-      ++frame_gen_[slot];
-    }
+  void set_scalar(const std::string& name, const sym::Value& v) {
+    assign_slot(plan_.slot(name), name, v);
+  }
+
+ private:
+  friend class KernelCtx;
+
+  /// A declared array by id (-1: the program declares no such array).
+  ArrayVal& array_at(int id, const std::string& name) {
+    STGSIM_CHECK(id >= 0 && arrays_[static_cast<std::size_t>(id)].declared)
+        << "unknown array '" << name << "'";
+    return arrays_[static_cast<std::size_t>(id)];
+  }
+
+  /// True for a slot whose declaration has executed (-1: no such slot).
+  bool defined(int slot) const {
+    return slot >= 0 && frame_defined_[static_cast<std::size_t>(slot)] != 0;
+  }
+
+  sym::Value read_slot(int slot, const std::string& name) const {
+    STGSIM_CHECK(defined(slot)) << "unknown scalar '" << name << "'";
+    return frame_[static_cast<std::size_t>(slot)];
+  }
+
+  /// Assignment to an already-declared scalar.
+  void assign_slot(int slot, const std::string& name, const sym::Value& v) {
+    STGSIM_CHECK(defined(slot))
+        << "assignment to undeclared scalar '" << name << "'";
+    write_slot(static_cast<std::size_t>(slot), v);
+  }
+
+  /// Declaration (or loop-variable / rank / size / parameter definition):
+  /// the slot takes `v` as is and becomes defined.
+  void define_slot(std::size_t slot, const sym::Value& v) {
+    frame_[slot] = v;
+    frame_defined_[slot] = 1;
+    ++frame_gen_[slot];
   }
 
   /// Writes a defined slot, keeping declared integer scalars integral
-  /// (Fortran INTEGER — same coercion as set_scalar with must_exist).
+  /// (Fortran INTEGER).
   void write_slot(std::size_t slot, const sym::Value& v) {
     sym::Value& cur = frame_[slot];
     if (cur.is_int() && !v.is_int()) {
@@ -137,122 +158,61 @@ class ExecState : public sym::Env {
     ++frame_gen_[slot];
   }
 
- private:
-  friend class KernelCtx;
-
-  /// Find-or-create the frame slot for a scalar name. A slot created here
-  /// before its declaration executes stays undefined until then; compiled
-  /// expressions leave undefined slots unbound, so reading one raises the
-  /// same EvalError the tree walker would.
-  int slot_of(const std::string& name) {
-    auto [it, inserted] =
-        frame_index_.try_emplace(name, static_cast<int>(frame_.size()));
-    if (inserted) {
-      frame_.emplace_back();
-      frame_defined_.push_back(0);
-      frame_gen_.push_back(0);
-    }
-    return it->second;
-  }
-
-  /// A compiled expression whose free variables have been resolved to
-  /// frame slots (indices stay valid as the frame vector grows).
-  /// Expressions with no slots are pure; they fold to a value at bind
-  /// time and evaluation is a load.
-  struct BoundExpr {
-    std::shared_ptr<const sym::CompiledExpr> code;
-    std::vector<int> frame_slots;  ///< frame index per code->free_slots()[i]
-    bool is_const = false;
-    bool is_var = false;  ///< single-load tape: read the frame directly
-    sym::Value const_value;
-    /// Memoized last result, valid while every input slot's write
-    /// generation still matches gen_stamp. Most steady-state expressions
-    /// (peer ranks, message counts, neighbor conditions, condensed delay
-    /// costs) read only rank/size/configuration scalars that are written
-    /// once, so revalidation is an integer compare per input instead of a
-    /// tape run. Expressions are pure, so evaluation itself never moves a
-    /// generation.
-    bool has_cache = false;
-    sym::Value cached_value;
-    std::vector<std::uint64_t> gen_stamp;  ///< per frame_slots[i]
-  };
-
-  /// Lazily-built per-statement cache of bound hot expressions (kDelay e1,
-  /// kFor lo/hi, kCompute iters, comm peer/count/offset, kIf condition,
-  /// kAssign rhs) plus resolved name lookups (frame slot, array, request
-  /// list — map/frame entries are never erased, so the pointers and
-  /// indices stay valid). Indexed densely by statement id.
-  struct StmtCache {
-    BoundExpr a, b, c;
-    ArrayVal* array = nullptr;
-    std::vector<smpi::Request>* requests = nullptr;
-    int var_slot = -1;
-    bool ready = false;
-  };
-
-  StmtCache& cache_of(const Stmt& s) {
-    STGSIM_DCHECK(s.id >= 0);
-    const auto i = static_cast<std::size_t>(s.id);
-    if (i >= stmt_cache_.size()) stmt_cache_.resize(i + 1);
-    return stmt_cache_[i];
-  }
-
-  void bind(BoundExpr& be, const sym::Expr& tree,
-            const std::shared_ptr<const sym::CompiledExpr>& precompiled) {
-    be.code = precompiled != nullptr
-                  ? precompiled
-                  : std::make_shared<const sym::CompiledExpr>(
-                        sym::CompiledExpr::compile(tree));
-    be.frame_slots.reserve(be.code->free_slots().size());
-    for (const int s : be.code->free_slots()) {
-      be.frame_slots.push_back(
-          slot_of(be.code->slot_names()[static_cast<std::size_t>(s)]));
-    }
-    if (be.code->num_slots() == 0) {
-      be.code->prepare(scratch_);
-      be.const_value = be.code->eval(scratch_);
-      be.is_const = true;
-    } else {
-      be.is_var = be.code->single_load();
-      be.gen_stamp.assign(be.frame_slots.size(), 0);
-    }
-  }
-
-  /// Evaluates a bound expression against the current frame. The shared
-  /// scratch is sized grow-only and NOT cleared between expressions: every
-  /// loadable slot is explicitly written below (free slots) or managed by
-  /// the tape itself (Sum binders), so stale entries from other
-  /// expressions are unreachable.
-  sym::Value eval_bound(BoundExpr& be) {
-    if (be.is_const) return be.const_value;
-    if (be.is_var) {
-      const auto fi = static_cast<std::size_t>(be.frame_slots[0]);
-      if (frame_defined_[fi] == 0) {
-        throw sym::EvalError("unbound variable '" +
-                             be.code->slot_names()[0] + "'");
-      }
-      return frame_[fi];
-    }
-    if (be.has_cache) {
-      bool fresh = true;
-      for (std::size_t i = 0; i < be.frame_slots.size(); ++i) {
-        if (be.gen_stamp[i] !=
-            frame_gen_[static_cast<std::size_t>(be.frame_slots[i])]) {
-          fresh = false;
-          break;
+  /// Evaluates a planned hot operand against this rank's frame. A kMemo
+  /// operand's last result stays valid while every input slot's write
+  /// generation still matches its stamp: most steady-state operands (peer
+  /// ranks, message counts, neighbour conditions, condensed delay costs)
+  /// read only rank/size/configuration scalars that are written once, so
+  /// revalidation is an integer compare per input instead of a tape run.
+  /// Operands are pure, so evaluation itself never moves a generation.
+  sym::Value eval(const PlannedExpr& pe) {
+    switch (pe.kind) {
+      case PlannedExpr::Kind::kConst:
+        return pe.value;
+      case PlannedExpr::Kind::kLoad: {
+        const int slot = pe.frame_slots[0];
+        if (!defined(slot)) {
+          throw sym::EvalError("unbound variable '" + plan_.slot_name(slot) +
+                               "'");
         }
+        return frame_[static_cast<std::size_t>(slot)];
       }
-      if (fresh) return be.cached_value;
+      case PlannedExpr::Kind::kMemo: {
+        std::uint64_t* stamp =
+            memo_stamp_.data() + static_cast<std::size_t>(pe.stamp);
+        auto gen = [&](std::size_t i) {
+          return frame_gen_[static_cast<std::size_t>(pe.frame_slots[i])];
+        };
+        const std::size_t n = pe.frame_slots.size();
+        std::size_t i = 0;
+        while (i < n && stamp[i] == gen(i)) ++i;
+        sym::Value& memo = memo_[static_cast<std::size_t>(pe.memo)];
+        if (i == n) return memo;
+        memo = run_tape(pe);
+        for (i = 0; i < n; ++i) stamp[i] = gen(i);
+        return memo;
+      }
+      case PlannedExpr::Kind::kTape:
+        return run_tape(pe);
     }
-    const auto n = static_cast<std::size_t>(be.code->num_slots());
+    return {};
+  }
+
+  /// Runs an operand's tape with its free slots bound from the frame. The
+  /// scratch is sized grow-only and NOT cleared between operands: every
+  /// loadable slot is explicitly written below (free slots) or managed by
+  /// the tape itself (Sum binders), so stale entries from other operands
+  /// are unreachable.
+  sym::Value run_tape(const PlannedExpr& pe) {
+    const auto n = static_cast<std::size_t>(pe.code.num_slots());
     if (scratch_.slots.size() < n) {
       scratch_.slots.resize(n);
       scratch_.bound.resize(n);
     }
-    const std::vector<int>& free = be.code->free_slots();
+    const std::vector<int>& free = pe.code.free_slots();
     for (std::size_t i = 0; i < free.size(); ++i) {
       const auto slot = static_cast<std::size_t>(free[i]);
-      const auto fi = static_cast<std::size_t>(be.frame_slots[i]);
+      const auto fi = static_cast<std::size_t>(pe.frame_slots[i]);
       if (frame_defined_[fi] != 0) {
         scratch_.slots[slot] = frame_[fi];
         scratch_.bound[slot] = 1;
@@ -260,13 +220,7 @@ class ExecState : public sym::Env {
         scratch_.bound[slot] = 0;
       }
     }
-    sym::Value v = be.code->eval(scratch_);
-    for (std::size_t i = 0; i < be.frame_slots.size(); ++i) {
-      be.gen_stamp[i] = frame_gen_[static_cast<std::size_t>(be.frame_slots[i])];
-    }
-    be.cached_value = v;
-    be.has_cache = true;
-    return v;
+    return pe.code.eval(scratch_);
   }
 
   /// One level of the interpreter's position in the statement tree, as a
@@ -330,7 +284,7 @@ class ExecState : public sym::Env {
         // f.loop_i with its original write generation; finish the current
         // iteration, then run the remaining ones normally. The bound is
         // the one recorded at loop entry, never re-evaluated.
-        const auto var = static_cast<std::size_t>(slot_of(s.name));
+        const auto var = static_cast<std::size_t>(plan_.stmt(s).slot);
         {
           const std::size_t pd = pos_stack_.size() - 1;
           pos_stack_[pd].loop_i = f.loop_i;
@@ -338,9 +292,7 @@ class ExecState : public sym::Env {
           exec_block_resume(s.body, pos, depth + 1);
         }
         for (std::int64_t i = f.loop_i + 1; i <= f.loop_hi; ++i) {
-          frame_[var] = sym::Value(i);
-          frame_defined_[var] = 1;
-          ++frame_gen_[var];
+          define_slot(var, sym::Value(i));
           const std::size_t pd = pos_stack_.size() - 1;
           pos_stack_[pd].loop_i = i;
           pos_stack_[pd].loop_hi = f.loop_hi;
@@ -352,12 +304,9 @@ class ExecState : public sym::Env {
         exec_block_resume(f.branch != 0 ? s.body : s.else_body, pos,
                           depth + 1);
         break;
-      case StmtKind::kCall: {
-        const Procedure* p = prog_.find_procedure(s.name);
-        STGSIM_CHECK(p != nullptr) << "unknown procedure " << s.name;
-        exec_block_resume(p->body, pos, depth + 1);
+      case StmtKind::kCall:
+        exec_block_resume(procedure(s).body, pos, depth + 1);
         break;
-      }
       default:
         STGSIM_CHECK(false)
             << "checkpoint position descends through a non-block statement";
@@ -386,21 +335,17 @@ class ExecState : public sym::Env {
 
   /// Serializes everything a fresh ExecState needs to resume at the
   /// current position: the scalar frame (values, definedness, write
-  /// generations, name->slot map), arrays with their payload bytes, open
-  /// timers, and the position stack. Request lists are all empty at a
-  /// quiescent boundary and stmt_cache_/scratch_ rebuild lazily.
+  /// generations — the slot layout is the plan's), arrays by id with their
+  /// payload bytes, open timers, and the position stack. Request lists are
+  /// all empty at a quiescent boundary, and the memo table is a pure cache
+  /// that a fresh state recomputes.
   void serialize_state(BlobWriter& w) const {
     w.vec_pod(frame_);
     w.vec_pod(frame_defined_);
     w.vec_pod(frame_gen_);
-    w.u64(frame_index_.size());
-    for (const auto& [name, slot] : frame_index_) {
-      w.str(name);
-      w.u32(static_cast<std::uint32_t>(slot));
-    }
-    w.u64(arrays_.size());
-    for (const auto& [name, a] : arrays_) {
-      w.str(name);
+    for (const ArrayVal& a : arrays_) {
+      w.u8(a.declared ? 1 : 0);
+      if (!a.declared) continue;
       w.vec_pod(a.extents);
       w.u64(a.elems);
       w.u64(a.elem_bytes);
@@ -419,24 +364,20 @@ class ExecState : public sym::Env {
     r.vec_pod(&frame_);
     r.vec_pod(&frame_defined_);
     r.vec_pod(&frame_gen_);
-    frame_index_.clear();
-    const std::uint64_t nslots = r.u64();
-    for (std::uint64_t i = 0; i < nslots; ++i) {
-      const std::string name = r.str();
-      frame_index_[name] = static_cast<int>(r.u32());
-    }
-    arrays_.clear();
-    const std::uint64_t narrays = r.u64();
-    for (std::uint64_t i = 0; i < narrays; ++i) {
-      const std::string name = r.str();
-      ArrayVal a;
+    STGSIM_CHECK(frame_.size() == static_cast<std::size_t>(plan_.num_slots()) &&
+                 frame_defined_.size() == frame_.size() &&
+                 frame_gen_.size() == frame_.size())
+        << "checkpoint frame does not match the plan";
+    for (ArrayVal& a : arrays_) {
+      a = ArrayVal{};
+      if (r.u8() == 0) continue;
+      a.declared = true;
       r.vec_pod(&a.extents);
       a.elems = static_cast<std::size_t>(r.u64());
       a.elem_bytes = static_cast<std::size_t>(r.u64());
       const auto bytes = static_cast<std::size_t>(r.u64());
       a.buf = TrackedBuffer(&comm_.process().memory(), bytes);
       r.raw(a.buf.data(), bytes);
-      arrays_[name] = std::move(a);
     }
     open_timers_.clear();
     const std::uint64_t ntimers = r.u64();
@@ -447,28 +388,15 @@ class ExecState : public sym::Env {
     r.vec_pod(pos);
   }
 
-  /// Binds the hot operands of a communication statement: e1 (peer/root),
-  /// e2 (count), e3 (offset), the target array, and its request list.
-  void prepare_comm(const Stmt& s, StmtCache& c) {
-    bind(c.a, s.e1, nullptr);
-    bind(c.b, s.e2, nullptr);
-    bind(c.c, s.e3, nullptr);
-    c.array = &array(s.name);
-    if (s.kind == StmtKind::kIsend || s.kind == StmtKind::kIrecv) {
-      c.requests = &requests_[s.aux_name];
-    }
-    c.ready = true;
-  }
-
   /// Resolves (array, offset_elems, count_elems) to a raw span for a
   /// communication statement, bounds-checked. Payload-free statements
   /// (dummy-buffer transfers emitted by the code generator) return null:
   /// the wire size is still exact but no bytes are staged or copied.
-  std::uint8_t* comm_span(const Stmt& s, StmtCache& c,
+  std::uint8_t* comm_span(const Stmt& s, const StmtPlan& sp,
                           std::size_t* bytes_out) {
-    ArrayVal& a = *c.array;
-    const std::int64_t count = eval_bound(c.b).as_int();
-    const std::int64_t offset = eval_bound(c.c).as_int();
+    ArrayVal& a = array_at(sp.array, s.name);
+    const std::int64_t count = eval(sp.b).as_int();
+    const std::int64_t offset = eval(sp.c).as_int();
     STGSIM_CHECK_GE(count, 0);
     STGSIM_CHECK_GE(offset, 0);
     STGSIM_CHECK_LE(static_cast<std::size_t>(offset + count), a.elems)
@@ -479,16 +407,23 @@ class ExecState : public sym::Env {
     return a.buf.data() + static_cast<std::size_t>(offset) * a.elem_bytes;
   }
 
-  std::vector<smpi::Request>& reqs(const std::string& name) {
-    return requests_[name];
+  std::vector<smpi::Request>& requests(const StmtPlan& sp) {
+    return requests_[static_cast<std::size_t>(sp.requests)];
+  }
+
+  const Procedure& procedure(const Stmt& s) const {
+    const Procedure* p = plan_.stmt(s).proc;
+    STGSIM_CHECK(p != nullptr) << "unknown procedure " << s.name;
+    return *p;
   }
 
   void exec_stmt(const Stmt& s) {
+    const StmtPlan& sp = plan_.stmt(s);
     switch (s.kind) {
       case StmtKind::kDeclScalar: {
         sym::Value v = s.has_init ? s.e1.eval(*this) : sym::Value(0);
         if (s.scalar_is_real) v = sym::Value(v.as_real());
-        set_scalar(s.name, v, /*must_exist=*/false);
+        define_slot(static_cast<std::size_t>(sp.slot), v);
         break;
       }
       case StmtKind::kDeclArray: {
@@ -503,39 +438,21 @@ class ExecState : public sym::Env {
         a.elems = elems;
         a.elem_bytes = s.elem_bytes;
         a.buf = TrackedBuffer(&comm_.process().memory(), elems * s.elem_bytes);
-        arrays_[s.name] = std::move(a);
+        a.declared = true;
+        arrays_[static_cast<std::size_t>(sp.array)] = std::move(a);
         break;
       }
       case StmtKind::kAssign: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) {
-          bind(c.a, s.e1, nullptr);
-          c.ready = true;
-        }
-        sym::Value v = eval_bound(c.a);
-        if (c.var_slot < 0) {
-          set_scalar(s.name, v, /*must_exist=*/true);  // checks declaration
-          c.var_slot = frame_index_.find(s.name)->second;
-        } else {
-          write_slot(static_cast<std::size_t>(c.var_slot), v);
-        }
+        const sym::Value v = eval(sp.a);
+        assign_slot(sp.slot, s.name, v);
         break;
       }
       case StmtKind::kFor: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) {
-          bind(c.a, s.e1, nullptr);
-          bind(c.b, s.e2, nullptr);
-          c.var_slot = slot_of(s.name);
-          c.ready = true;
-        }
-        const std::int64_t lo = eval_bound(c.a).as_int();
-        const std::int64_t hi = eval_bound(c.b).as_int();
-        const auto var = static_cast<std::size_t>(c.var_slot);
+        const std::int64_t lo = eval(sp.a).as_int();
+        const std::int64_t hi = eval(sp.b).as_int();
+        const auto var = static_cast<std::size_t>(sp.slot);
         for (std::int64_t i = lo; i <= hi; ++i) {
-          frame_[var] = sym::Value(i);
-          frame_defined_[var] = 1;
-          ++frame_gen_[var];
+          define_slot(var, sym::Value(i));
           const std::size_t pd = pos_stack_.size() - 1;
           pos_stack_[pd].loop_i = i;
           pos_stack_[pd].loop_hi = hi;
@@ -544,12 +461,7 @@ class ExecState : public sym::Env {
         break;
       }
       case StmtKind::kIf: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) {
-          bind(c.a, s.e1, nullptr);
-          c.ready = true;
-        }
-        const bool taken = eval_bound(c.a).as_bool();
+        const bool taken = eval(sp.a).as_bool();
         if (options_.branches != nullptr) {
           options_.branches->record(s.id, taken);
         }
@@ -562,56 +474,48 @@ class ExecState : public sym::Env {
         break;
       }
       case StmtKind::kCompute:
-        exec_kernel(s, s.kernel);
+        exec_kernel(s, sp);
         break;
       case StmtKind::kSend: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) prepare_comm(s, c);
         std::size_t bytes = 0;
-        const std::uint8_t* p = comm_span(s, c, &bytes);
-        const auto dst = static_cast<int>(eval_bound(c.a).as_int());
+        const std::uint8_t* p = comm_span(s, sp, &bytes);
+        const auto dst = static_cast<int>(eval(sp.a).as_int());
         const VTime t0 = comm_.now();
         comm_.send(dst, s.tag, p, bytes);
         observe_comm(s, dst, bytes, t0);
         break;
       }
       case StmtKind::kRecv: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) prepare_comm(s, c);
         std::size_t bytes = 0;
-        std::uint8_t* p = comm_span(s, c, &bytes);
-        const auto src = static_cast<int>(eval_bound(c.a).as_int());
+        std::uint8_t* p = comm_span(s, sp, &bytes);
+        const auto src = static_cast<int>(eval(sp.a).as_int());
         const VTime t0 = comm_.now();
         comm_.recv(src, s.tag, p, bytes);
         observe_comm(s, src, bytes, t0);
         break;
       }
       case StmtKind::kIsend: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) prepare_comm(s, c);
         std::size_t bytes = 0;
-        const std::uint8_t* p = comm_span(s, c, &bytes);
-        const auto dst = static_cast<int>(eval_bound(c.a).as_int());
+        const std::uint8_t* p = comm_span(s, sp, &bytes);
+        const auto dst = static_cast<int>(eval(sp.a).as_int());
         const VTime t0 = comm_.now();
-        c.requests->push_back(comm_.isend(dst, s.tag, p, bytes));
+        requests(sp).push_back(comm_.isend(dst, s.tag, p, bytes));
         ++pending_requests_;
         observe_comm(s, dst, bytes, t0);
         break;
       }
       case StmtKind::kIrecv: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) prepare_comm(s, c);
         std::size_t bytes = 0;
-        std::uint8_t* p = comm_span(s, c, &bytes);
-        const auto src = static_cast<int>(eval_bound(c.a).as_int());
+        std::uint8_t* p = comm_span(s, sp, &bytes);
+        const auto src = static_cast<int>(eval(sp.a).as_int());
         const VTime t0 = comm_.now();
-        c.requests->push_back(comm_.irecv(src, s.tag, p, bytes));
+        requests(sp).push_back(comm_.irecv(src, s.tag, p, bytes));
         ++pending_requests_;
         observe_comm(s, src, bytes, t0);
         break;
       }
       case StmtKind::kWaitall: {
-        auto& rs = reqs(s.name);
+        auto& rs = requests(sp);
         comm_.waitall(rs);
         pending_requests_ -= rs.size();
         rs.clear();
@@ -624,57 +528,49 @@ class ExecState : public sym::Env {
         break;
       }
       case StmtKind::kBcast: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) prepare_comm(s, c);
         std::size_t bytes = 0;
-        std::uint8_t* p = comm_span(s, c, &bytes);
-        const auto root = static_cast<int>(eval_bound(c.a).as_int());
+        std::uint8_t* p = comm_span(s, sp, &bytes);
+        const auto root = static_cast<int>(eval(sp.a).as_int());
         const VTime t0 = comm_.now();
         comm_.bcast(p, bytes, root);
         observe_comm(s, root, bytes, t0);
         break;
       }
       case StmtKind::kAllreduceSum: {
-        double v = scalar(s.name).as_real();
+        double v = read_slot(sp.slot, s.name).as_real();
         const VTime t0 = comm_.now();
         comm_.allreduce_sum(&v, 1);
-        set_scalar(s.name, sym::Value(v), /*must_exist=*/true);
+        assign_slot(sp.slot, s.name, sym::Value(v));
         observe_comm(s, -1, sizeof(double), t0);
         break;
       }
       case StmtKind::kAllreduceMax: {
-        double v = scalar(s.name).as_real();
+        double v = read_slot(sp.slot, s.name).as_real();
         const VTime t0 = comm_.now();
         comm_.allreduce_max(&v, 1);
-        set_scalar(s.name, sym::Value(v), /*must_exist=*/true);
+        assign_slot(sp.slot, s.name, sym::Value(v));
         observe_comm(s, -1, sizeof(double), t0);
         break;
       }
       case StmtKind::kGetRank:
-        set_scalar(s.name, sym::Value(std::int64_t{comm_.rank()}),
-                   /*must_exist=*/false);
+        define_slot(static_cast<std::size_t>(sp.slot),
+                    sym::Value(std::int64_t{comm_.rank()}));
         break;
       case StmtKind::kGetSize:
-        set_scalar(s.name, sym::Value(std::int64_t{comm_.size()}),
-                   /*must_exist=*/false);
+        define_slot(static_cast<std::size_t>(sp.slot),
+                    sym::Value(std::int64_t{comm_.size()}));
         break;
       case StmtKind::kDelay: {
-        StmtCache& c = cache_of(s);
-        if (!c.ready) {
-          bind(c.a, s.e1, s.e1_compiled);
-          c.ready = true;
-        }
-        const double sec = eval_bound(c.a).as_real();
+        const double sec = eval(sp.a).as_real();
         STGSIM_CHECK_GE(sec, -1e-12)
             << "negative delay from scaling function: " << s.e1.to_string();
         comm_.delay_seconds(std::max(sec, 0.0));
         break;
       }
-      case StmtKind::kReadParam: {
-        const double v = comm_.read_param(s.aux_name);
-        set_scalar(s.name, sym::Value(v), /*must_exist=*/false);
+      case StmtKind::kReadParam:
+        define_slot(static_cast<std::size_t>(sp.slot),
+                    sym::Value(comm_.read_param(s.aux_name)));
         break;
-      }
       case StmtKind::kTimerStart:
         open_timers_[s.name] = comm_.now();
         break;
@@ -690,12 +586,9 @@ class ExecState : public sym::Env {
         }
         break;
       }
-      case StmtKind::kCall: {
-        const Procedure* p = prog_.find_procedure(s.name);
-        STGSIM_CHECK(p != nullptr) << "unknown procedure " << s.name;
-        exec_block(p->body);
+      case StmtKind::kCall:
+        exec_block(procedure(s).body);
         break;
-      }
     }
   }
 
@@ -706,14 +599,10 @@ class ExecState : public sym::Env {
     }
   }
 
-  void exec_kernel(const Stmt& stmt, const KernelSpec& k) {
+  void exec_kernel(const Stmt& stmt, const StmtPlan& sp) {
+    const KernelSpec& k = stmt.kernel;
     const VTime t_begin = comm_.now();
-    StmtCache& c = cache_of(stmt);
-    if (!c.ready) {
-      bind(c.a, k.iters, nullptr);
-      c.ready = true;
-    }
-    const std::int64_t iters = eval_bound(c.a).as_int();
+    const std::int64_t iters = eval(sp.a).as_int();
     STGSIM_CHECK_GE(iters, 0) << "negative iteration count for " << k.task;
 
     KernelCtx ctx(*this, k, iters);
@@ -723,15 +612,13 @@ class ExecState : public sym::Env {
     if (k.branch_fraction) fraction = k.branch_fraction(ctx);
     STGSIM_DCHECK(fraction >= 0.0 && fraction <= 1.0);
 
-    // Working set: every array the task touches, per the declared sets.
+    // Working set: every declared array the task touches, per the
+    // declared sets.
     double ws_bytes = 0.0;
-    for (const auto* names : {&k.reads, &k.writes}) {
-      for (const auto& n : *names) {
-        auto it = arrays_.find(n);
-        if (it != arrays_.end()) {
-          ws_bytes += static_cast<double>(it->second.elems *
-                                          it->second.elem_bytes);
-        }
+    for (const int id : sp.ws_arrays) {
+      const ArrayVal& a = arrays_[static_cast<std::size_t>(id)];
+      if (a.declared) {
+        ws_bytes += static_cast<double>(a.elems * a.elem_bytes);
       }
     }
 
@@ -752,21 +639,23 @@ class ExecState : public sym::Env {
     }
   }
 
-  const Program& prog_;
+  const Plan& plan_;
   smpi::Comm& comm_;
   ExecOptions options_;
 
-  // Scalar slot frame (see class comment).
+  // Scalar frame, laid out by the plan's slots.
   std::vector<sym::Value> frame_;
   std::vector<std::uint8_t> frame_defined_;
   std::vector<std::uint64_t> frame_gen_;  ///< write generation per slot
-  std::unordered_map<std::string, int> frame_index_;
 
-  std::vector<StmtCache> stmt_cache_;  ///< indexed by Stmt::id
+  // Memo table (see eval): last value per kMemo operand, and the input
+  // write generations it was computed from.
+  std::vector<sym::Value> memo_;
+  std::vector<std::uint64_t> memo_stamp_;
   sym::CompiledExpr::Scratch scratch_;
 
-  std::map<std::string, ArrayVal> arrays_;
-  std::map<std::string, std::vector<smpi::Request>> requests_;
+  std::vector<ArrayVal> arrays_;                      ///< by plan array id
+  std::vector<std::vector<smpi::Request>> requests_;  ///< by plan list id
   std::map<std::string, VTime> open_timers_;
 
   /// Live position in the statement tree (see PosFrame); one frame per
@@ -831,16 +720,16 @@ sym::Value KernelCtx::scalar(const std::string& name) const {
 
 void KernelCtx::set_scalar(const std::string& name, sym::Value v) {
   check_access(name, /*write=*/true);
-  state_.set_scalar(name, v, /*must_exist=*/true);
+  state_.set_scalar(name, v);
 }
 
 Rng& KernelCtx::rng() { return state_.comm().process().rng(); }
 
 // ---------------------------------------------------------------------------
 
-void execute(const Program& prog, smpi::Comm& comm,
+void execute(const Plan& plan, smpi::Comm& comm,
              const ExecOptions& options) {
-  ExecState state(prog, comm, options);
+  ExecState state(plan, comm, options);
   state.run();
 }
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/plan.hpp"
 #include "ir/program.hpp"
 #include "smpi/smpi.hpp"
 #include "support/memtrack.hpp"
@@ -157,8 +158,10 @@ class KernelCtx {
   std::int64_t iters_;
 };
 
-/// Runs `prog` for the rank bound to `comm`; returns when main completes.
-void execute(const Program& prog, smpi::Comm& comm,
+/// Runs the planned program for the rank bound to `comm`; returns when
+/// main completes. Build the Plan once, outside the engine body, and share
+/// it across ranks: a rank's own set-up then compiles nothing.
+void execute(const Plan& plan, smpi::Comm& comm,
              const ExecOptions& options = {});
 
 }  // namespace stgsim::ir

@@ -24,6 +24,7 @@ class BlobWriter {
   explicit BlobWriter(std::vector<std::uint8_t>& out) : out_(out) {}
 
   void raw(const void* p, std::size_t n) {
+    if (n == 0) return;  // p may be an empty container's null data()
     const auto* b = static_cast<const std::uint8_t*>(p);
     out_.insert(out_.end(), b, b + n);
   }
@@ -64,6 +65,9 @@ class BlobReader {
       : BlobReader(v.data(), v.size()) {}
 
   void raw(void* p, std::size_t n) {
+    // A zero-length field restores into an empty container whose data()
+    // may be null; memcpy with a null pointer is undefined even for 0.
+    if (n == 0) return;
     STGSIM_CHECK(pos_ + n <= size_) << "checkpoint blob truncated";
     std::memcpy(p, data_ + pos_, n);
     pos_ += n;

@@ -1,8 +1,13 @@
 #include "symexpr/compiled.hpp"
 
+#include <atomic>
 #include <utility>
 
 namespace stgsim::sym {
+
+namespace {
+std::atomic<std::uint64_t> g_compiled{0};
+}  // namespace
 
 // Emits postfix code for a DAG, resolving variables lexically: Sum binders
 // shadow outer bindings and free variables of the same name. Every binder
@@ -88,6 +93,7 @@ class CompiledExpr::Builder {
 };
 
 CompiledExpr CompiledExpr::compile(const Expr& e) {
+  g_compiled.fetch_add(1, std::memory_order_relaxed);
   CompiledExpr out;
   Builder b(out);
   b.emit(e.node());
@@ -95,7 +101,6 @@ CompiledExpr CompiledExpr::compile(const Expr& e) {
 }
 
 Value CompiledExpr::run(Scratch& s, std::size_t pc, std::size_t end) const {
-  const std::size_t base = s.stack.size();
   while (pc < end) {
     const Inst& in = tape_[pc];
     switch (in.code) {
@@ -177,10 +182,14 @@ Value CompiledExpr::run(Scratch& s, std::size_t pc, std::size_t end) const {
       }
     }
   }
-  STGSIM_DCHECK(s.stack.size() == base + 1);
+  STGSIM_DCHECK(!s.stack.empty());
   const Value result = s.stack.back();
   s.stack.pop_back();
   return result;
+}
+
+std::uint64_t CompiledExpr::compiled_count() {
+  return g_compiled.load(std::memory_order_relaxed);
 }
 
 Value CompiledExpr::eval(Scratch& s) const {

@@ -34,6 +34,11 @@ class CompiledExpr {
 
   static CompiledExpr compile(const Expr& e);
 
+  /// Tapes compiled so far in this process, on all threads — lets tests
+  /// check that simulated ranks execute from a shared plan and compile
+  /// nothing themselves.
+  static std::uint64_t compiled_count();
+
   /// Total slots (free variables + Sum binders).
   int num_slots() const { return static_cast<int>(slot_names_.size()); }
   /// Variable name of each slot.

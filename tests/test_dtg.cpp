@@ -26,9 +26,10 @@ Dtg record_run(const ir::Program& prog, int nprocs) {
   simk::Engine engine(ec);
   ir::ExecOptions xopts;
   xopts.observer = &observer;
+  const ir::Plan plan(prog);
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    ir::execute(prog, comm, xopts);
+    ir::execute(plan, comm, xopts);
   });
   engine.run();
   return recorder.build();
@@ -162,9 +163,10 @@ TEST(Dtg, SimplifiedProgramProducesSameCommSkeleton) {
   simk::Engine engine(ec);
   ir::ExecOptions xopts;
   xopts.observer = &observer;
+  const ir::Plan plan(compiled.simplified.program);
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    ir::execute(compiled.simplified.program, comm, xopts);
+    ir::execute(plan, comm, xopts);
   });
   engine.run();
   Dtg simplified = recorder.build();

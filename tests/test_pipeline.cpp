@@ -161,9 +161,10 @@ TEST_F(PipelineTest, CommunicationTraceEquivalence) {
     simk::EngineConfig ec;
     ec.num_processes = nprocs;
     simk::Engine engine(ec);
+    const ir::Plan plan(*program);
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(world, p);
-      ir::execute(*program, comm);
+      ir::execute(plan, comm);
     });
     engine.run();
   }

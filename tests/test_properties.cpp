@@ -187,9 +187,10 @@ TEST_P(RandomPrograms, ThreadedSchedulerMatchesSequential) {
       ec.use_threads = true;
     }
     simk::Engine engine(ec);
+    const ir::Plan plan(prog);
     engine.set_body([&](simk::Process& p) {
       smpi::Comm comm(world, p);
-      ir::execute(prog, comm);
+      ir::execute(plan, comm);
     });
     return engine.run().per_rank_completion;
   };

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/calibration.hpp"
+#include "support/blob.hpp"
 #include "support/check.hpp"
 #include "support/indexed_heap.hpp"
 #include "support/memtrack.hpp"
@@ -437,6 +438,42 @@ TEST(Stats, SafeSpeedupIsFiniteOnDegenerateBaselines) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_DOUBLE_EQ(safe_speedup(nan, 2.0), 0.0);
   EXPECT_DOUBLE_EQ(safe_speedup(2.0, nan), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint blob framing
+// ---------------------------------------------------------------------------
+
+TEST(Blob, ZeroLengthFieldsRoundTrip) {
+  // Empty containers have a null data(); writing or restoring a zero-length
+  // field from/into one must be a no-op, not a memcpy through null.
+  std::vector<std::uint8_t> blob;
+  BlobWriter w(blob);
+  w.vec_pod(std::vector<double>{});
+  w.str("");
+  w.raw(nullptr, 0);
+  w.vec_pod(std::vector<std::int64_t>{7, -8});
+  w.u32(42);
+
+  BlobReader r(blob);
+  std::vector<double> empty{1.0, 2.0};
+  r.vec_pod(&empty);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(r.str(), "");
+  r.raw(nullptr, 0);
+  std::vector<std::int64_t> ints;
+  r.vec_pod(&ints);
+  EXPECT_EQ(ints, (std::vector<std::int64_t>{7, -8}));
+  EXPECT_EQ(r.u32(), 42u);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(Blob, TruncatedBlobFailsCheck) {
+  std::vector<std::uint8_t> blob;
+  BlobWriter w(blob);
+  w.u32(1);
+  BlobReader r(blob);
+  EXPECT_THROW(r.u64(), CheckError);
 }
 
 }  // namespace

@@ -34,9 +34,10 @@ inline TracedRun run_traced(const ir::Program& prog, int nprocs,
   simk::EngineConfig ec;
   ec.num_processes = nprocs;
   simk::Engine engine(ec);
+  const ir::Plan plan(prog);
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    ir::execute(prog, comm);
+    ir::execute(plan, comm);
   });
   simk::RunResult rr = engine.run();
   return TracedRun{std::move(rr), world.all_stats(), std::move(trace)};

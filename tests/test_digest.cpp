@@ -5,7 +5,9 @@
 // the digest and fails these tests — under either scheduler.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <string>
 
@@ -16,8 +18,13 @@
 #include "core/compiler.hpp"
 #include "fault/fault.hpp"
 #include "harness/digest.hpp"
+#include "harness/machines.hpp"
 #include "harness/runner.hpp"
 #include "ir/builder.hpp"
+#include "ir/interp.hpp"
+#include "ir/plan.hpp"
+#include "obs/obs.hpp"
+#include "smpi/smpi.hpp"
 
 namespace stgsim {
 namespace {
@@ -209,6 +216,206 @@ TEST(RunDigest, WildcardRaceAgreesAcrossSchedulers) {
   std::fprintf(stderr, "GOLDEN %-24s 0x%016llx\n", "wildcard-race/seq",
                static_cast<unsigned long long>(seq));
   EXPECT_EQ(seq, thr);
+}
+
+// --- Collective paths: linear, ring and abstract routes pinned ---------
+//
+// The shipped apps reach only 8-byte binomial allreduces and read_param
+// broadcasts, so the goldens above never run the linear, ring or abstract
+// collective code. Each case below pins a run digest together with a hash
+// of the run's user-level CommTrace (kind, peer, tag, bytes of every op)
+// and its obs op-kind scalars, under three collective configurations plus
+// the default machine.
+
+struct CollConfig {
+  const char* name;
+  const char* machine;
+  bool abstract_comm;
+};
+
+constexpr CollConfig kCollConfigs[] = {
+    {"default", "ibm_sp", false},
+    {"linear", "ibm_sp[algo.barrier=linear,algo.bcast=linear,"
+               "algo.reduce=linear]",
+     false},
+    {"ring", "ibm_sp[algo.bcast=ring,algo.reduce=ring,algo.allreduce=ring]",
+     false},
+    {"abstract", "ibm_sp", true},
+};
+
+struct CollGolden {
+  std::uint64_t digest;
+  std::uint64_t comm;  ///< CommTrace + obs op-kind scalars
+};
+
+class Fnv64 {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void str(const std::string& s) {
+    for (unsigned char c : s) {
+      h_ ^= c;
+      h_ *= 0x100000001b3ULL;
+    }
+    u64(s.size());
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// User-level communication trace of `prog` under `cc` (the trace is a
+/// per-rank op sequence, independent of virtual timing).
+smpi::CommTrace comm_trace_of(const ir::Program& prog, int nprocs,
+                              const CollConfig& cc) {
+  const harness::MachineSpec machine = harness::parse_machine_spec(cc.machine);
+  smpi::CommTrace trace(nprocs);
+  smpi::World::Options wopts;
+  wopts.net = machine.net;
+  wopts.compute = machine.compute;
+  wopts.coll = machine.coll;
+  if (cc.abstract_comm) {
+    wopts.comm_fidelity = smpi::World::Options::CommFidelity::kAbstract;
+  }
+  wopts.trace = &trace;
+  smpi::World world(wopts, nprocs);
+  simk::EngineConfig ec;
+  ec.num_processes = nprocs;
+  simk::Engine engine(ec);
+  const ir::Plan plan(prog);
+  engine.set_body([&](simk::Process& p) {
+    smpi::Comm comm(world, p);
+    ir::execute(plan, comm);
+  });
+  engine.run();
+  return trace;
+}
+
+void expect_coll_goldens(const char* prog_name, const ir::Program& prog,
+                         int nprocs, const CollGolden (&goldens)[4]) {
+  for (std::size_t i = 0; i < std::size(kCollConfigs); ++i) {
+    const CollConfig& cc = kCollConfigs[i];
+    obs::Recorder rec(obs::Options{}, nprocs);
+    harness::RunConfig cfg;
+    cfg.nprocs = nprocs;
+    cfg.mode = harness::Mode::kDirectExec;
+    cfg.machine = harness::parse_machine_spec(cc.machine);
+    cfg.abstract_comm = cc.abstract_comm;
+    cfg.obs = &rec;
+    const harness::RunOutcome out = harness::run_program(prog, cfg);
+    ASSERT_TRUE(out.ok()) << out.diagnostic;
+
+    Fnv64 h;
+    const smpi::CommTrace trace = comm_trace_of(prog, nprocs, cc);
+    for (const auto& ops : trace.per_rank()) {
+      h.u64(ops.size());
+      for (const smpi::CommEvent& e : ops) {
+        h.u64(static_cast<std::uint64_t>(e.kind));
+        h.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.peer)));
+        h.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.tag)));
+        h.u64(e.bytes);
+      }
+    }
+    for (const auto& [name, value] : out.metrics.scalars) {
+      if (name.rfind("op.", 0) != 0) continue;
+      h.str(name);
+      h.u64(static_cast<std::uint64_t>(std::llround(value * 1e9)));
+    }
+
+    const std::string label = std::string(prog_name) + "/" + cc.name;
+    std::fprintf(stderr, "GOLDEN %-24s {0x%016llxULL, 0x%016llxULL}\n",
+                 label.c_str(),
+                 static_cast<unsigned long long>(harness::run_digest(out)),
+                 static_cast<unsigned long long>(h.value()));
+    EXPECT_EQ(harness::run_digest(out), goldens[i].digest) << label;
+    EXPECT_EQ(h.value(), goldens[i].comm) << label;
+  }
+}
+
+/// Every collective the IR can issue at both sides of the ring threshold,
+/// plus point-to-point at eager and rendezvous sizes, blocking and not.
+ir::Program make_collective_micro() {
+  auto I = [](std::int64_t v) { return sym::Expr::integer(v); };
+  ir::ProgramBuilder b("coll_micro");
+  sym::Expr myid = b.get_rank("myid");
+  sym::Expr P = b.get_size("P");
+  b.decl_real("acc", sym::Expr::real(1.0));
+  b.decl_real("peak", sym::Expr::real(2.0));
+  b.decl_array("SMALL", {I(1024)});  // 8 KiB
+  b.decl_array("BIG", {I(16384)});   // 128 KiB
+  b.barrier();
+  b.bcast("SMALL", I(1), I(1024), I(0));
+  b.bcast("BIG", I(0), I(16384), I(0));
+  b.allreduce_sum("acc");
+  b.allreduce_max("peak");
+  b.if_then(sym::gt(myid, I(0)),
+            [&] { b.recv("BIG", myid - 1, I(16384), I(0), 1); });
+  b.if_then(sym::lt(myid, P - 1),
+            [&] { b.send("BIG", myid + 1, I(16384), I(0), 1); });
+  b.if_then(sym::gt(myid, I(0)), [&] {
+    b.irecv("reqs", "BIG", myid - 1, I(16384), I(0), 2);
+    b.irecv("reqs", "SMALL", myid - 1, I(1024), I(0), 3);
+  });
+  b.if_then(sym::lt(myid, P - 1), [&] {
+    b.isend("reqs", "BIG", myid + 1, I(16384), I(0), 2);
+    b.isend("reqs", "SMALL", myid + 1, I(1024), I(0), 3);
+  });
+  b.waitall("reqs");
+  b.barrier();
+  return b.take();
+}
+
+TEST(CollectiveGolden, MicroP5) {
+  constexpr CollGolden kGoldens[4] = {
+      {0xd50a4666f7d24a27ULL, 0x0747cf5768a9aba0ULL},
+      {0xc899d1a2a451492bULL, 0xad8432f165460fb8ULL},
+      {0xde29a108784d4e8aULL, 0xc4f0eca8dfe6b9b7ULL},
+      {0x019bc255d318ef88ULL, 0x8a0248890fb2f963ULL}};
+  expect_coll_goldens("micro5", make_collective_micro(), 5, kGoldens);
+}
+
+TEST(CollectiveGolden, MicroP8) {
+  constexpr CollGolden kGoldens[4] = {
+      {0x1c33388aa00eca81ULL, 0xf2f975ea0d62e687ULL},
+      {0xbae1f0b6fcc96418ULL, 0xa995edccccf81e56ULL},
+      {0xe6d1a0089e4f34d6ULL, 0x3532385c1852ad22ULL},
+      {0xf16e5adcc721c1d1ULL, 0x0a055d59833a42e7ULL}};
+  expect_coll_goldens("micro8", make_collective_micro(), 8, kGoldens);
+}
+
+TEST(CollectiveGolden, Tomcatv) {
+  apps::TomcatvConfig c;
+  c.n = 128;
+  c.iterations = 2;
+  constexpr CollGolden kGoldens[4] = {
+      {0xf7a88373c8256116ULL, 0x0f18c3ae1547f4d8ULL},
+      {0x530f047a9d92d07fULL, 0x5e2081a453735978ULL},
+      {0x3e5fd67c106e858eULL, 0xcf1c5f10fa5621cdULL},
+      {0x32eafd90f3d02aa2ULL, 0x9b59cea03b3ef992ULL}};
+  expect_coll_goldens("tomcatv", apps::make_tomcatv(c), 8, kGoldens);
+}
+
+TEST(CollectiveGolden, Sweep3D) {
+  apps::Sweep3DConfig c;
+  c.it = 2;
+  c.jt = 2;
+  c.kt = 12;
+  c.kb = 4;
+  c.mm = 2;
+  c.mmi = 1;
+  c.npe_i = 2;
+  c.npe_j = 2;
+  constexpr CollGolden kGoldens[4] = {
+      {0xae531a8f3b6690cfULL, 0x558da7fce03e64c9ULL},
+      {0x38ba6367df918701ULL, 0xa46632d5ed08d4e6ULL},
+      {0xfd787aff5c0cc883ULL, 0x8b4d0c6a8fe8c0d7ULL},
+      {0xc3987e0cb4b4cf46ULL, 0x5c8cbde69a66c7bbULL}};
+  expect_coll_goldens("sweep3d", apps::make_sweep3d(c), 4, kGoldens);
 }
 
 // Digest must not depend on host wall-clock: two identical runs agree.

@@ -32,7 +32,12 @@ double run_with(bool linear, int procs, const harness::MachineSpec& machine,
   smpi::World::Options wopts;
   wopts.net = machine.net;
   wopts.compute = machine.compute;
-  wopts.linear_collectives = linear;
+  if (linear) {
+    wopts.coll.barrier = smpi::CollAlgo::kLinear;
+    wopts.coll.bcast = smpi::CollAlgo::kLinear;
+    wopts.coll.reduce = smpi::CollAlgo::kLinear;
+    wopts.coll.allreduce = smpi::CollAlgo::kLinear;
+  }
   smpi::World world(wopts, procs);
 
   simk::EngineConfig ec;

@@ -200,7 +200,6 @@ const std::vector<StrField>& str_fields() {
       coll_algo_str_field("algo.bcast", smpi::CollOp::kBcast),
       coll_algo_str_field("algo.reduce", smpi::CollOp::kReduce),
       coll_algo_str_field("algo.allreduce", smpi::CollOp::kAllreduce),
-      coll_algo_str_field("algo.alltoall", smpi::CollOp::kAlltoall),
   };
   return f;
 }

@@ -59,15 +59,10 @@ const char* op_kind_name(OpKind k) {
     case OpKind::kIrecv: return "irecv";
     case OpKind::kWait: return "wait";
     case OpKind::kWaitall: return "waitall";
-    case OpKind::kWaitany: return "waitany";
-    case OpKind::kSendrecv: return "sendrecv";
     case OpKind::kBarrier: return "barrier";
     case OpKind::kBcast: return "bcast";
     case OpKind::kReduce: return "reduce";
     case OpKind::kAllreduce: return "allreduce";
-    case OpKind::kGather: return "gather";
-    case OpKind::kScatter: return "scatter";
-    case OpKind::kAlltoall: return "alltoall";
     case OpKind::kCompute: return "compute";
     case OpKind::kDelay: return "delay";
     case OpKind::kCount_: break;
@@ -81,19 +76,14 @@ const char* op_kind_category(OpKind k) {
     case OpKind::kRecv:
     case OpKind::kIsend:
     case OpKind::kIrecv:
-    case OpKind::kSendrecv:
       return "p2p";
     case OpKind::kWait:
     case OpKind::kWaitall:
-    case OpKind::kWaitany:
       return "sync";
     case OpKind::kBarrier:
     case OpKind::kBcast:
     case OpKind::kReduce:
     case OpKind::kAllreduce:
-    case OpKind::kGather:
-    case OpKind::kScatter:
-    case OpKind::kAlltoall:
       return "collective";
     case OpKind::kCompute:
     case OpKind::kDelay:

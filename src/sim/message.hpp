@@ -41,9 +41,7 @@ struct Message {
 /// Matching rule for a (blocking) receive: plain data compared inline —
 /// no std::function, no allocation per probe. The engine applies MPI
 /// ordering: for a fixed source, the earliest message in send order that
-/// the spec accepts. `any_of` expresses a union of alternatives (waitany):
-/// the alternatives array must outlive the spec's use (stack-lived in the
-/// blocked fiber is fine).
+/// the spec accepts.
 struct MatchSpec {
   static constexpr int kAnySource = -1;
   static constexpr int kAnyTag = -1;
@@ -55,21 +53,12 @@ struct MatchSpec {
   bool match_aux = false;          ///< when set, require aux equality
   std::uint64_t aux = 0;
 
-  const MatchSpec* any_of = nullptr;  ///< union of alternatives (waitany)
-  std::uint32_t any_of_count = 0;
-
   // Diagnostic labels surfaced by the deadlock detector (never used for
   // matching): what operation is blocked and on which user-level tag.
-  const char* what = "recv";  ///< e.g. "recv", "rendezvous-cts", "waitany"
+  const char* what = "recv";  ///< e.g. "recv", "rendezvous-cts"
   int user_tag = -1;          ///< user-level tag; -1 = wildcard/unknown
 
   bool accepts(const Message& m) const {
-    if (any_of != nullptr) {
-      for (std::uint32_t i = 0; i < any_of_count; ++i) {
-        if (any_of[i].accepts(m)) return true;
-      }
-      return false;
-    }
     if (src != kAnySource && src != m.src) return false;
     if ((kind_mask & static_cast<std::uint8_t>(1u << m.kind)) == 0) {
       return false;
@@ -80,11 +69,9 @@ struct MatchSpec {
   }
 
   /// True when the choice of message can depend on scheduling order: the
-  /// spec accepts more than one source (ANY_SOURCE, or a waitany union).
-  /// Such receives may only commit under the engine's safety bound.
-  bool is_wildcard() const {
-    return src == kAnySource || any_of != nullptr;
-  }
+  /// spec accepts more than one source (ANY_SOURCE). Such receives may
+  /// only commit under the engine's safety bound.
+  bool is_wildcard() const { return src == kAnySource; }
 };
 
 }  // namespace stgsim::simk

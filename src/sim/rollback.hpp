@@ -93,25 +93,13 @@ struct SendRecord {
 
 /// A wildcard commit that is still speculative: the receive chose the
 /// earliest-(arrival, src) candidate *queued at the time*, but a slower
-/// rank may still produce an earlier one. Self-contained copy of the
-/// matching rule (waitany alternatives deep-copied into `alts`, so the
-/// record never dangles into a fiber stack).
+/// rank may still produce an earlier one. Holds a copy of the matching
+/// rule, so the record never dangles into a fiber stack.
 struct WildcardRecord {
-  std::vector<MatchSpec> alts;  ///< non-empty iff the spec was a union
-  MatchSpec spec;               ///< used when alts is empty
+  MatchSpec spec;
   VTime arrival = 0;            ///< committed candidate's arrival
   int src = -1;                 ///< committed candidate's source
   std::uint64_t consumed_index = 0;  ///< index into OptState::consumed
-
-  bool accepts(const Message& m) const {
-    if (!alts.empty()) {
-      for (const MatchSpec& a : alts) {
-        if (a.accepts(m)) return true;
-      }
-      return false;
-    }
-    return spec.accepts(m);
-  }
 };
 
 /// All optimistic-mode state of one process. Empty/inert unless

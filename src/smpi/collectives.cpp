@@ -10,7 +10,6 @@ const char* coll_op_name(CollOp op) {
     case CollOp::kBcast: return "bcast";
     case CollOp::kReduce: return "reduce";
     case CollOp::kAllreduce: return "allreduce";
-    case CollOp::kAlltoall: return "alltoall";
   }
   return "?";
 }
@@ -22,7 +21,6 @@ const char* coll_algo_name(CollAlgo a) {
     case CollAlgo::kBinomial: return "binomial";
     case CollAlgo::kRing: return "ring";
     case CollAlgo::kDissemination: return "dissemination";
-    case CollAlgo::kPairwise: return "pairwise";
   }
   return "?";
 }
@@ -37,14 +35,13 @@ bool op_supports(CollOp op, CollAlgo a) {
     case CollOp::kReduce:
     case CollOp::kAllreduce:
       return a == CollAlgo::kBinomial || a == CollAlgo::kRing;
-    case CollOp::kAlltoall: return a == CollAlgo::kPairwise;
   }
   return false;
 }
 
 constexpr CollAlgo kAllAlgos[] = {
-    CollAlgo::kAuto,     CollAlgo::kLinear,        CollAlgo::kBinomial,
-    CollAlgo::kRing,     CollAlgo::kDissemination, CollAlgo::kPairwise,
+    CollAlgo::kAuto, CollAlgo::kLinear,        CollAlgo::kBinomial,
+    CollAlgo::kRing, CollAlgo::kDissemination,
 };
 
 }  // namespace
@@ -82,7 +79,6 @@ CollAlgo& coll_algo_field(CollectiveConfig& cfg, CollOp op) {
     case CollOp::kBcast: return cfg.bcast;
     case CollOp::kReduce: return cfg.reduce;
     case CollOp::kAllreduce: return cfg.allreduce;
-    case CollOp::kAlltoall: return cfg.alltoall;
   }
   return cfg.barrier;  // unreachable
 }
@@ -92,7 +88,6 @@ CollAlgo resolve_coll_algo(CollOp op, CollAlgo configured, std::size_t bytes,
   if (configured != CollAlgo::kAuto) return configured;
   switch (op) {
     case CollOp::kBarrier: return CollAlgo::kDissemination;
-    case CollOp::kAlltoall: return CollAlgo::kPairwise;
     case CollOp::kBcast:
     case CollOp::kReduce:
     case CollOp::kAllreduce:

@@ -15,11 +15,10 @@
 //   bcast      auto | linear | binomial | ring
 //   reduce     auto | linear | binomial | ring
 //   allreduce  auto | linear | binomial | ring
-//   alltoall   auto | linear | pairwise
 //
 // kAuto resolves to the tree algorithms below `ring_threshold` bytes and
 // the bandwidth-optimal ring algorithms at or above it (dissemination for
-// barrier, pairwise for alltoall) — mirroring the latency-vs-bandwidth
+// barrier) — mirroring the latency-vs-bandwidth
 // switch in MPICH/OpenMPI selection tables.
 #pragma once
 
@@ -30,11 +29,11 @@
 namespace stgsim::smpi {
 
 enum class CollOp : std::uint8_t {
-  kBarrier, kBcast, kReduce, kAllreduce, kAlltoall
+  kBarrier, kBcast, kReduce, kAllreduce
 };
 
 enum class CollAlgo : std::uint8_t {
-  kAuto, kLinear, kBinomial, kRing, kDissemination, kPairwise
+  kAuto, kLinear, kBinomial, kRing, kDissemination
 };
 
 const char* coll_op_name(CollOp op);
@@ -53,7 +52,6 @@ struct CollectiveConfig {
   CollAlgo bcast = CollAlgo::kAuto;
   CollAlgo reduce = CollAlgo::kAuto;
   CollAlgo allreduce = CollAlgo::kAuto;
-  CollAlgo alltoall = CollAlgo::kAuto;
 
   /// kAuto switches bcast/reduce/allreduce from binomial to ring at this
   /// payload size (bytes). High enough that the latency-bound collectives

@@ -63,9 +63,6 @@ TEST(CollAlgoConfig, AutoFollowsTheSizeRule) {
   EXPECT_EQ(resolve_coll_algo(CollOp::kBarrier, CollAlgo::kAuto, 0,
                               cfg.ring_threshold),
             CollAlgo::kDissemination);
-  EXPECT_EQ(resolve_coll_algo(CollOp::kAlltoall, CollAlgo::kAuto, 1024,
-                              cfg.ring_threshold),
-            CollAlgo::kPairwise);
   EXPECT_EQ(resolve_coll_algo(CollOp::kAllreduce, CollAlgo::kAuto, 512, 256),
             CollAlgo::kRing);
 }
@@ -74,7 +71,7 @@ TEST(CollAlgoConfig, ParseRejectsUnsupportedCombos) {
   EXPECT_EQ(parse_coll_algo(CollOp::kBcast, "ring"), CollAlgo::kRing);
   EXPECT_THROW((void)parse_coll_algo(CollOp::kBarrier, "ring"),
                std::runtime_error);
-  EXPECT_THROW((void)parse_coll_algo(CollOp::kAlltoall, "binomial"),
+  EXPECT_THROW((void)parse_coll_algo(CollOp::kBarrier, "binomial"),
                std::runtime_error);
 }
 
@@ -129,23 +126,6 @@ TEST(CollAlgoValues, RingAllreduceMaxAgreesEverywhere) {
     EXPECT_DOUBLE_EQ(v[1], 0.0);
     EXPECT_DOUBLE_EQ(v[2], 7.0);
   });
-}
-
-TEST(CollAlgoValues, AlltoallExchangesRankMajorBlocks) {
-  for (CollAlgo algo : {CollAlgo::kPairwise, CollAlgo::kLinear}) {
-    Fixture f(5, with_algo(CollOp::kAlltoall, algo));
-    f.run([](Comm& c) {
-      const int P = c.size();
-      std::vector<double> send(static_cast<std::size_t>(P));
-      std::vector<double> recv(static_cast<std::size_t>(P), -1.0);
-      for (int d = 0; d < P; ++d) send[d] = 1000.0 * c.rank() + d;
-      c.alltoall(send.data(), sizeof(double), recv.data());
-      // recv[s] is the block rank s addressed to us.
-      for (int s = 0; s < P; ++s) {
-        EXPECT_DOUBLE_EQ(recv[s], 1000.0 * s + c.rank());
-      }
-    });
-  }
 }
 
 TEST(CollAlgoValues, LinearAndBinomialAgreeWithRing) {

@@ -223,36 +223,6 @@ TEST(Engine, TryMatchDoesNotBlock) {
   e.run();
 }
 
-TEST(Engine, UnionSpecMatchesAnyAlternative) {
-  EngineConfig cfg;
-  cfg.num_processes = 3;
-  Engine e(cfg);
-  e.set_body([](Process& p) {
-    if (p.rank() == 0) {
-      p.send(make_msg(0, 2, 5, 0, vtime_from_us(9)));
-    } else if (p.rank() == 1) {
-      p.send(make_msg(1, 2, 6, 0, vtime_from_us(4)));
-    } else {
-      p.advance(vtime_from_us(50));
-      MatchSpec alts[2];
-      alts[0].src = 0;
-      alts[0].tag = 5;
-      alts[1].src = 1;
-      alts[1].tag = 6;
-      MatchSpec united;
-      united.src = MatchSpec::kAnySource;
-      united.any_of = alts;
-      united.any_of_count = 2;
-      // Earliest arrival among the alternatives wins.
-      Message first = p.blocking_match(united);
-      EXPECT_EQ(first.src, 1);
-      Message second = p.blocking_match(united);
-      EXPECT_EQ(second.src, 0);
-    }
-  });
-  e.run();
-}
-
 TEST(Engine, WildcardParksUntilSafeBoundThenPicksEarliest) {
   // The wildcard race this PR fixes. Rank 2 posts an ANY_SOURCE receive
   // while rank 0's message (arrival 100us) is already queued — but rank 1,

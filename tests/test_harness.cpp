@@ -153,7 +153,8 @@ TEST(Harness, AbstractAllreduceStillSumsCorrectly) {
   simk::Engine engine(ec);
   engine.set_body([&](simk::Process& p) {
     smpi::Comm comm(world, p);
-    const double total = comm.allreduce_sum(static_cast<double>(comm.rank()));
+    double total = static_cast<double>(comm.rank());
+    comm.allreduce_sum(&total, 1);
     EXPECT_DOUBLE_EQ(total, 21.0);
     double mx = static_cast<double>(comm.rank() % 3);
     comm.allreduce_max(&mx, 1);

@@ -338,7 +338,7 @@ TEST(MachineSpecPlatform, BadValuesAreStructuredErrors) {
                std::runtime_error);
   EXPECT_THROW((void)harness::parse_machine_spec("ibm_sp[algo.bcast=quantum]"),
                std::runtime_error);
-  // Pairwise is an alltoall algorithm, not a bcast one.
+  // Unknown algorithm names are rejected too.
   EXPECT_THROW((void)harness::parse_machine_spec("ibm_sp[algo.bcast=pairwise]"),
                std::runtime_error);
   // Unknown keys still list what is accepted, including the new fields.

@@ -167,116 +167,6 @@ TEST(Smpi, SymmetricRendezvousExchangeDoesNotDeadlock) {
   });
 }
 
-TEST(Smpi, WaitanyReturnsTheReadyRequest) {
-  Fixture f(3);
-  f.run([](Comm& c) {
-    if (c.rank() == 2) {
-      // Two outstanding receives; sources answer in a known virtual order.
-      double a = 0.0, b = 0.0;
-      std::vector<Request> reqs;
-      reqs.push_back(c.irecv(0, 1, &a, sizeof a));
-      reqs.push_back(c.irecv(1, 2, &b, sizeof b));
-      const std::size_t first = c.waitany(reqs);
-      EXPECT_EQ(first, 1u);  // rank 1 sends immediately; rank 0 delays
-      const std::size_t second = c.waitany(reqs);
-      EXPECT_EQ(second, 0u);
-      EXPECT_DOUBLE_EQ(a, 10.0);
-      EXPECT_DOUBLE_EQ(b, 20.0);
-    } else if (c.rank() == 1) {
-      double v = 20.0;
-      c.send(2, 2, &v, sizeof v);
-    } else {
-      c.delay(vtime_from_ms(5));
-      double v = 10.0;
-      c.send(2, 1, &v, sizeof v);
-    }
-  });
-}
-
-TEST(Smpi, WaitanyCompletesRendezvousSends) {
-  Fixture f(2);
-  const std::size_t big = f.world.options().net.eager_threshold * 2;
-  f.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      std::vector<std::uint8_t> buf(big, 1);
-      std::vector<Request> reqs;
-      reqs.push_back(c.isend(1, 0, buf.data(), big));
-      const std::size_t idx = c.waitany(reqs);
-      EXPECT_EQ(idx, 0u);
-      EXPECT_TRUE(reqs[0].done());
-    } else {
-      std::vector<std::uint8_t> buf(big);
-      c.recv(0, 0, buf.data(), big);
-    }
-  });
-}
-
-TEST(Smpi, WaitanyWithNothingPendingIsAnError) {
-  Fixture f(1);
-  EXPECT_THROW(f.run([](Comm& c) {
-                 std::vector<Request> reqs;
-                 reqs.push_back(Request{});
-                 c.waitany(reqs);
-               }),
-               CheckError);
-}
-
-TEST(Smpi, GatherCollectsRankMajorBlocks) {
-  const int n = 5;
-  Fixture f(n);
-  f.run([n](Comm& c) {
-    double mine[2] = {static_cast<double>(c.rank()),
-                      static_cast<double>(c.rank() * 10)};
-    std::vector<double> all(static_cast<std::size_t>(2 * n), -1.0);
-    c.gather(mine, sizeof mine, c.rank() == 2 ? all.data() : nullptr, 2);
-    if (c.rank() == 2) {
-      for (int r = 0; r < n; ++r) {
-        EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(2 * r)], r);
-        EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(2 * r + 1)], r * 10);
-      }
-    }
-  });
-}
-
-TEST(Smpi, ScatterDistributesRankMajorBlocks) {
-  const int n = 4;
-  Fixture f(n);
-  f.run([n](Comm& c) {
-    std::vector<double> all;
-    if (c.rank() == 0) {
-      for (int r = 0; r < n; ++r) all.push_back(100.0 + r);
-    }
-    double mine = -1.0;
-    c.scatter(c.rank() == 0 ? all.data() : nullptr, sizeof mine, &mine, 0);
-    EXPECT_DOUBLE_EQ(mine, 100.0 + c.rank());
-  });
-}
-
-TEST(Smpi, GatherThenScatterRoundTrips) {
-  const int n = 6;
-  Fixture f(n);
-  f.run([n](Comm& c) {
-    double v = static_cast<double>(c.rank() * 7);
-    std::vector<double> all(static_cast<std::size_t>(n));
-    c.gather(&v, sizeof v, c.rank() == 0 ? all.data() : nullptr, 0);
-    double back = -1.0;
-    c.scatter(c.rank() == 0 ? all.data() : nullptr, sizeof back, &back, 0);
-    EXPECT_DOUBLE_EQ(back, v);
-  });
-}
-
-TEST(Smpi, SendrecvExchangesBothWays) {
-  Fixture f(4);
-  f.run([](Comm& c) {
-    const int right = (c.rank() + 1) % c.size();
-    const int left = (c.rank() + c.size() - 1) % c.size();
-    double out = -1.0;
-    double in = static_cast<double>(c.rank());
-    c.sendrecv(right, 1, &in, sizeof in, left, 1, &out, sizeof out);
-    EXPECT_DOUBLE_EQ(out, static_cast<double>(left));
-  });
-}
-
 TEST(Smpi, RecvBufferTooSmallIsAnError) {
   // A structured TargetProgramError (not a CheckError with its simulator
   // check banner): the harness maps it to RunStatus::kInternalError.
@@ -337,7 +227,8 @@ TEST_P(CollectiveSizes, AllreduceSumAgreesEverywhere) {
   const int n = GetParam();
   Fixture f(n);
   f.run([n](Comm& c) {
-    const double total = c.allreduce_sum(static_cast<double>(c.rank() + 1));
+    double total = static_cast<double>(c.rank() + 1);
+    c.allreduce_sum(&total, 1);
     EXPECT_DOUBLE_EQ(total, n * (n + 1) / 2.0);
   });
 }
@@ -369,10 +260,18 @@ TEST_P(CollectiveSizes, BarrierSynchronizesClocks) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveSizes,
                          ::testing::Values(1, 2, 3, 5, 8, 16, 33));
 
-TEST(Smpi, LinearCollectivesProduceSameValues) {
+/// Root-sequential algorithms for every collective the IR can issue.
+World::Options linear_collectives() {
   World::Options opts;
-  opts.linear_collectives = true;
-  Fixture f(7, opts);
+  opts.coll.barrier = CollAlgo::kLinear;
+  opts.coll.bcast = CollAlgo::kLinear;
+  opts.coll.reduce = CollAlgo::kLinear;
+  opts.coll.allreduce = CollAlgo::kLinear;
+  return opts;
+}
+
+TEST(Smpi, LinearCollectivesProduceSameValues) {
+  Fixture f(7, linear_collectives());
   f.run([](Comm& c) {
     double v = static_cast<double>(c.rank() + 1);
     c.allreduce_sum(&v, 1);
@@ -386,9 +285,7 @@ TEST(Smpi, LinearCollectivesProduceSameValues) {
 
 TEST(Smpi, TreeBeatsLinearAtScale) {
   auto barrier_time = [](bool linear, int procs) {
-    World::Options opts;
-    opts.linear_collectives = linear;
-    Fixture f(procs, opts);
+    Fixture f(procs, linear ? linear_collectives() : World::Options{});
     VTime t = 0;
     f.run([&](Comm& c) {
       c.barrier();

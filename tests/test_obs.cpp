@@ -176,6 +176,9 @@ TEST(Obs, ParallelMetricsPopulatedInThreadedRunsOnly) {
   const double cross = s.value("parallel.cross_messages");
   EXPECT_EQ(cross, mailbox + barrier);
   EXPECT_GT(cross, 0.0);
+  // Conservative rounds defer every cross-partition message to the
+  // barrier; only optimistic rounds use the mailboxes.
+  EXPECT_EQ(mailbox, 0.0);
   EXPECT_EQ(intra + cross, static_cast<double>(par.messages));
   // Per-worker busy/idle virtual time and slice counts, both workers.
   double slices = 0.0;

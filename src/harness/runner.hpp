@@ -36,7 +36,7 @@ enum class Mode { kMeasured, kDirectExec, kAnalytical };
 const char* mode_name(Mode m);
 
 /// Parallel synchronization protocol for the simulation engine.
-///   kConservative — never execute past the lookahead-window safe bound
+///   kConservative — never commit a wildcard receive past the safe bound
 ///                   (sequential scheduler when threads == 0).
 ///   kOptimistic   — Time Warp: execute speculatively, roll back on
 ///                   stragglers/anti-messages, commit via GVT. Digests are
@@ -92,8 +92,8 @@ struct RunConfig {
 
   /// Synchronization protocol. kOptimistic applies to both the sequential
   /// scheduler (threads == 0; speculative wildcard commits corrected by
-  /// rollback) and the threaded scheduler (no lookahead window; workers
-  /// run ahead freely and GVT commits behind them). Incompatible with
+  /// rollback) and the threaded scheduler (workers consume each other's
+  /// messages mid-round and GVT commits behind them). Incompatible with
   /// kMeasured mode, calibration/profiling hooks, and host-trace
   /// recording — all of which carry state a rollback cannot restore.
   Schedule schedule = Schedule::kConservative;
@@ -210,7 +210,7 @@ struct RunOutcome {
   /// same data the diagnostic renders as text). Sorted by rank.
   std::vector<simk::DeadlockError::BlockedRank> blocked_ranks;
 
-  /// True when any rank executed a wildcard (ANY_SOURCE/waitany) receive.
+  /// True when any rank executed a wildcard (ANY_SOURCE) receive.
   /// The protocol checker uses this to pick the right independence
   /// relation for DPOR reduction.
   bool used_wildcard_recv = false;

@@ -98,8 +98,6 @@ class ReplayOracle : public simk::ScheduleOracle {
 
   std::size_t choose(const std::vector<simk::ChoiceOption>& options) override;
 
-  std::size_t steps_replayed() const { return step_; }
-
  private:
   std::vector<simk::ChoiceOption> schedule_;
   std::size_t step_ = 0;

@@ -120,7 +120,6 @@ class Network {
   /// stats path costs a route materialization per message). Call before
   /// the run starts.
   void enable_link_stats();
-  bool link_stats_enabled() const { return link_stats_enabled_; }
 
   /// Messages by routed hop count; bucket k = messages whose path had k
   /// hops. Empty when stats are disabled or nothing was sent.

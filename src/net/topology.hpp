@@ -26,7 +26,7 @@
 // feeds commutative sums.
 //
 // The minimum path latency over all pairs is computed at build time and
-// is the wildcard-parking / threaded-lookahead floor; verify_floor()
+// is the wildcard-parking floor; verify_floor()
 // asserts no pair can undercut it. Self-delivery (src == dst) is charged
 // exactly that minimum path — loopback through the nearest switch level —
 // so the floor stays sound by construction even for self-sends.

@@ -3,8 +3,11 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 #include "support/check.hpp"
 
@@ -13,11 +16,35 @@ namespace stgsim::simk {
 namespace {
 
 thread_local Fiber* g_current_fiber = nullptr;
-// Global (not thread_local): the threaded scheduler resumes fibers from
-// persistent worker threads, and per-thread counters would silently drop
-// every resume performed off the scheduler thread. A relaxed increment is
-// noise next to the swapcontext it accompanies.
-std::atomic<unsigned long long> g_switches{0};
+
+// AddressSanitizer must be told about every stack switch, or an exception
+// unwinding on a fiber stack makes it unpoison (and check) the wrong
+// stack. start_switch is called just before a swapcontext with the
+// destination stack; a null `fake_stack_save` marks the final switch away
+// from a finished fiber. finish_switch is called first thing on the new
+// stack and reports the stack just left. Both compile to nothing without
+// ASan.
+void start_switch(void** fake_stack_save, const void* bottom,
+                  std::size_t bytes) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(fake_stack_save, bottom, bytes);
+#else
+  (void)fake_stack_save;
+  (void)bottom;
+  (void)bytes;
+#endif
+}
+
+void finish_switch(void* fake_stack_save, const void** bottom_old,
+                   std::size_t* bytes_old) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(fake_stack_save, bottom_old, bytes_old);
+#else
+  (void)fake_stack_save;
+  (void)bottom_old;
+  (void)bytes_old;
+#endif
+}
 
 std::size_t page_size() {
   static const std::size_t ps = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
@@ -71,11 +98,13 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
 }
 
 void Fiber::run_body() {
+  finish_switch(nullptr, &caller_stack_, &caller_stack_bytes_);
   body_();
   finished_ = true;
   // Return to whoever resumed us last; the fiber is never resumed again.
   Fiber* self = g_current_fiber;
   g_current_fiber = nullptr;
+  start_switch(nullptr, self->caller_stack_, self->caller_stack_bytes_);
   swapcontext(&self->context_, &self->return_context_);
   STGSIM_UNREACHABLE("finished fiber resumed");
 }
@@ -84,10 +113,13 @@ void Fiber::resume() {
   STGSIM_CHECK(g_current_fiber == nullptr)
       << "resume() called from inside a fiber";
   STGSIM_CHECK(!finished_) << "resume() on finished fiber";
-  started_ = true;
   g_current_fiber = this;
-  g_switches.fetch_add(1, std::memory_order_relaxed);
+  void* fake_stack = nullptr;
+  start_switch(&fake_stack,
+               static_cast<std::uint8_t*>(stack_base_) + page_size(),
+               map_bytes_ - page_size());
   STGSIM_CHECK_EQ(swapcontext(&return_context_, &context_), 0);
+  finish_switch(fake_stack, nullptr, nullptr);
   STGSIM_CHECK(g_current_fiber == nullptr);
 }
 
@@ -95,16 +127,16 @@ void Fiber::yield_to_scheduler() {
   Fiber* self = g_current_fiber;
   STGSIM_CHECK(self != nullptr) << "yield outside of fiber";
   g_current_fiber = nullptr;
+  start_switch(&self->fake_stack_, self->caller_stack_,
+               self->caller_stack_bytes_);
   STGSIM_CHECK_EQ(swapcontext(&self->context_, &self->return_context_), 0);
-  // Resumed again: restore current pointer (resume() set it before the
-  // swap back into us).
+  // Resumed again, possibly by another worker thread: record its stack and
+  // restore the current pointer (resume() set it before the swap back).
+  finish_switch(self->fake_stack_, &self->caller_stack_,
+                &self->caller_stack_bytes_);
   g_current_fiber = self;
 }
 
 Fiber* Fiber::current() { return g_current_fiber; }
-
-unsigned long long Fiber::switch_count() {
-  return g_switches.load(std::memory_order_relaxed);
-}
 
 }  // namespace stgsim::simk

@@ -41,11 +41,6 @@ class Fiber {
 
   bool finished() const { return finished_; }
 
-  /// Total resume() calls across all fibers process-wide (stats). Counts
-  /// resumes from every thread, so threaded-scheduler slice totals match
-  /// the sequential scheduler's.
-  static unsigned long long switch_count();
-
  private:
   static void trampoline(unsigned hi, unsigned lo);
   void run_body();
@@ -55,8 +50,13 @@ class Fiber {
   ucontext_t return_context_{};
   void* stack_base_ = nullptr;   // mmap base (includes guard page)
   std::size_t map_bytes_ = 0;
-  bool started_ = false;
   bool finished_ = false;
+  // AddressSanitizer stack-switch bookkeeping (unused without ASan): the
+  // stack of whoever resumed this fiber last, and the fiber's fake stack
+  // while it is switched out.
+  const void* caller_stack_ = nullptr;
+  std::size_t caller_stack_bytes_ = 0;
+  void* fake_stack_ = nullptr;
 };
 
 }  // namespace stgsim::simk

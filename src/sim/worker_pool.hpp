@@ -1,7 +1,6 @@
 // Persistent worker pool with a reusable round barrier.
 //
-// The threaded conservative scheduler runs one "round" per window: every
-// worker executes its partition, then all meet at a barrier where the
+// The threaded scheduler runs in "rounds": every worker executes its partition, then all meet at a barrier where the
 // scheduler thread flushes deferred messages and promotes parked wildcard
 // receives. The original implementation spawned and joined a fresh
 // std::thread per partition every round — at 16k ranks a run takes

@@ -36,12 +36,6 @@ class IndexedMinHeap {
     return pos_[static_cast<std::size_t>(id)] != kAbsent;
   }
 
-  Key key_of(int id) const {
-    STGSIM_DCHECK(contains(id));
-    return heap_[static_cast<std::size_t>(pos_[static_cast<std::size_t>(id)])]
-        .key;
-  }
-
   /// Inserts an id that must not already be present.
   void push(int id, Key key) {
     STGSIM_DCHECK(id >= 0 && id < capacity());
@@ -62,14 +56,6 @@ class IndexedMinHeap {
       sift_up(i);
     } else if (old < key) {
       sift_down(i);
-    }
-  }
-
-  void push_or_update(int id, Key key) {
-    if (contains(id)) {
-      update(id, key);
-    } else {
-      push(id, key);
     }
   }
 

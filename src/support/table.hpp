@@ -19,8 +19,6 @@ class TablePrinter {
   /// Adds a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
 
-  std::size_t num_rows() const { return rows_.size(); }
-
   std::string to_ascii() const;
   std::string to_csv() const;
 

@@ -24,6 +24,14 @@ using sym::Expr;
 
 Expr I(std::int64_t v) { return Expr::integer(v); }
 
+/// `prefix` followed by `n` in decimal. Built by appending: GCC 12 reports
+/// a false -Wrestrict positive on `"x" + std::to_string(n)`.
+std::string numbered(const char* prefix, int n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 class ProgramGenerator {
  public:
   explicit ProgramGenerator(std::uint64_t seed)
@@ -37,7 +45,7 @@ class ProgramGenerator {
     scalars_.push_back("N");
     b_.decl_real("acc", Expr::real(1.0));
     for (int a = 0; a < 3; ++a) {
-      arrays_.push_back("A" + std::to_string(a));
+      arrays_.push_back(numbered("A", a));
       b_.decl_array(arrays_.back(), {n * 4});
     }
     emit_block(/*depth=*/0, static_cast<int>(rng_.next_in(3, 6)));
@@ -69,14 +77,14 @@ class ProgramGenerator {
     for (int s = 0; s < segments; ++s) {
       switch (rng_.next_below(depth < 2 ? 6 : 4)) {
         case 0: {  // scalar dataflow
-          const std::string name = "s" + std::to_string(next_scalar_++);
+          const std::string name = numbered("s", next_scalar_++);
           b_.decl_int(name, random_expr(2));
           scalars_.push_back(name);
           break;
         }
         case 1: {  // compute kernel with random scaling function
           ir::KernelSpec k;
-          k.task = "t" + std::to_string(next_task_++);
+          k.task = numbered("t", next_task_++);
           k.iters = random_expr(2);
           k.flops_per_iter = static_cast<double>(rng_.next_in(1, 4));
           k.writes = {arrays_[rng_.next_below(arrays_.size())]};
@@ -105,7 +113,7 @@ class ProgramGenerator {
           break;
         }
         case 4: {  // loop (rank-invariant bounds)
-          const std::string var = "i" + std::to_string(next_loop_++);
+          const std::string var = numbered("i", next_loop_++);
           const auto trip = rng_.next_in(1, 3);
           const int inner = static_cast<int>(rng_.next_in(1, 3));
           // Declarations inside the body are only safely referenceable
